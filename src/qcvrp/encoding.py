@@ -147,14 +147,16 @@ def measurement_estimate(
 
     Scales with the largest edge weight: ``size**3 * max_weight`` for QUBO
     and ``size**2 * max_weight`` for HOBO, times a configurable leading
-    constant (default 1).
+    constant (default 1).  Integral arguments give an exact integer, so the
+    HOBO/QUBO ratio is exactly ``1 / size`` even beyond 2**53.
     """
     _require_positive_number(size, "size")
     _require_positive_number(max_weight, "max_weight")
     _require_positive_number(constant, "constant")
-    if encoding is EncodingKind.QUBO:
-        return constant * size**3 * max_weight
-    return constant * size**2 * max_weight
+    power = 3 if encoding is EncodingKind.QUBO else 2
+    if all(float(x).is_integer() for x in (size, max_weight, constant)):
+        return int(constant) * int(size) ** power * int(max_weight)
+    return constant * size**power * max_weight
 
 
 def depth_estimate(qubit_count: int, layers: int = DEFAULT_LAYERS) -> int:

@@ -83,6 +83,11 @@ class CvrpInstance:
             object.__setattr__(
                 self, "coords", tuple((float(x), float(y)) for x, y in self.coords)
             )
+            for node, (x, y) in enumerate(self.coords):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise InvalidInstance(
+                        f"coordinates of node {node} must be finite, got ({x}, {y})"
+                    )
         if self.explicit_weights is not None:
             object.__setattr__(
                 self,

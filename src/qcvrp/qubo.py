@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -123,7 +123,9 @@ class QuboModel:
     ``linear`` maps flat indices to coefficients and ``quadratic`` maps
     index pairs ``(a, b)`` with ``a < b``; ``offset`` is the constant term
     and ``penalty`` the scale applied to every constraint.  Models built
-    from an instance carry a ``var_map``; models read back from text do not.
+    from an instance carry a ``var_map``, which only ``decode_routes``
+    needs; models read back from text do not, and evaluate and solve the
+    same way.
     """
 
     num_vars: int
@@ -269,93 +271,54 @@ def count_terms(model: QuboModel) -> tuple[int, int]:
     return (n_lin, n_quad)
 
 
-def _dense_arrays(
-    model: QuboModel, keep: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear vector and upper-triangular quadratic matrix over bits 0..keep-1."""
-    lin = np.zeros(keep, dtype=np.float64)
+def _dense(model: QuboModel) -> tuple[np.ndarray, np.ndarray]:
+    """Linear vector and symmetric, zero-diagonal coupling matrix."""
+    lin = np.zeros(model.num_vars)
+    quad = np.zeros((model.num_vars, model.num_vars))
     for a, coeff in model.linear.items():
-        if a < keep:
-            lin[a] = coeff
-    quad = np.zeros((keep, keep), dtype=np.float64)
+        lin[a] += coeff
     for (a, b), coeff in model.quadratic.items():
-        if a < keep and b < keep:
+        if a == b:
+            lin[a] += coeff  # x * x == x
+        else:
             quad[a, b] += coeff
+            quad[b, a] += coeff
     return lin, quad
 
 
-@dataclass(frozen=True)
-class _ReducedRegister:
-    start: int
-    length: int
-    lin: float
-    pair: float
-    cross: np.ndarray  # per-route-variable coupling, identical for every bit
+def _interchangeable(lin: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """Label each variable with the first member of its group.
 
-
-def _uniform_registers(model: QuboModel) -> list[_ReducedRegister] | None:
-    """Check that each slack register couples uniformly, bit for bit.
-
-    The unary registers the builder emits satisfy this by construction; a
-    hand-edited model might not, in which case the solver falls back to
-    plain enumeration over every bit.
+    Two variables are interchangeable when their linear terms are equal and
+    they couple identically to every other variable, so permuting them
+    leaves every energy unchanged.  The relation is an equivalence, and it
+    forces one common coupling inside each group.
     """
-    vmap = model.var_map
-    if vmap is None or not vmap.slack_registers:
-        return None
-    n_route = vmap.num_route_vars
-    regs = vmap.slack_registers
-    owner = {}
-    for r, reg in enumerate(regs):
-        for b in range(reg.start, reg.start + reg.length):
-            owner[b] = r
-
-    lin_vals: list[list[float]] = [[] for _ in regs]
-    for r, reg in enumerate(regs):
-        lin_vals[r] = [float(model.linear.get(b, 0)) for b in range(reg.start, reg.start + reg.length)]
-    pair_vals: list[dict[tuple[int, int], float]] = [dict() for _ in regs]
-    cross_vals: list[dict[int, dict[int, float]]] = [dict() for _ in regs]
-
-    for (a, b), coeff in model.quadratic.items():
-        ra, rb = owner.get(a), owner.get(b)
-        if ra is None and rb is None:
-            continue
-        if ra is not None and rb is not None:
-            if ra != rb:
-                return None  # couples two registers: no reduction
-            pair_vals[ra][(a, b)] = float(coeff)
-            continue
-        reg_id, slack_bit, route = (rb, b, a) if rb is not None else (ra, a, b)
-        if route >= n_route:
-            return None
-        cross_vals[reg_id].setdefault(route, {})[slack_bit] = float(coeff)
-
-    reduced: list[_ReducedRegister] = []
-    for r, reg in enumerate(regs):
-        vals = lin_vals[r]
-        if len(set(vals)) > 1:
-            return None
-        lin = vals[0] if vals else 0.0
-        n_pairs = reg.length * (reg.length - 1) // 2
-        pairs = pair_vals[r]
-        if pairs and (len(pairs) != n_pairs or len(set(pairs.values())) > 1):
-            return None
-        pair = next(iter(pairs.values())) if pairs else 0.0
-        cross = np.zeros(n_route, dtype=np.float64)
-        for route, per_bit in cross_vals[r].items():
-            if len(per_bit) != reg.length or len(set(per_bit.values())) > 1:
-                return None
-            cross[route] = next(iter(per_bit.values()))
-        reduced.append(
-            _ReducedRegister(reg.start, reg.length, lin, pair, cross)
-        )
-    return reduced
+    owner = np.full(len(lin), -1)
+    for i in range(len(lin)):
+        if owner[i] < 0:
+            same = quad == quad[i]
+            same[:, i] = True
+            np.fill_diagonal(same, True)
+            owner[same.all(axis=1) & (lin == lin[i])] = i
+    return owner
 
 
-def _chunks(total: int, chunk_bits: int) -> Iterator[np.ndarray]:
-    step = 1 << chunk_bits
-    for lo in range(0, total, step):
-        yield np.arange(lo, min(lo + step, total), dtype=np.int64)
+def _enumerated_prefix(owner: np.ndarray, quad: np.ndarray) -> int:
+    """Smallest ``n`` such that bits ``n..`` are whole, mutually uncoupled groups.
+
+    Those trailing groups are minimized over their count of set bits; the
+    bits before them are enumerated, so lexicographic order is preserved.
+    """
+    n = len(owner)
+    for s in range(n - 1, -1, -1):
+        tail = owner[s:]
+        if np.isin(tail, owner[:s]).any():
+            continue  # a group straddles s
+        if quad[s:, s:][tail[:, None] != tail[None, :]].any():
+            break
+        n = s
+    return n
 
 
 def _bits_of(indices: np.ndarray, width: int) -> np.ndarray:
@@ -370,54 +333,84 @@ def brute_force_solve(
 ) -> tuple[str, Number]:
     """Exact global minimum of the model.
 
-    Enumerates every assignment; ties go to the lexicographically smallest
-    bitstring, independent of chunking.  Models whose slack registers couple
-    uniformly (everything ``build_qubo`` emits) are minimized analytically
-    over the slack bits, so only the route bits are enumerated.  Raises
-    ``TooLarge`` beyond ``max_vars`` variables.
+    Variables with equal linear terms and identical coupling to every other
+    variable are interchangeable; these groups are read off the
+    coefficients, so a model parsed from text solves as fast as a built one.
+    Trailing groups that do not couple to each other (the slack registers
+    of ``build_qubo`` models) are minimized analytically over their count
+    of set bits.  The remaining bits split into a high and a low half, and
+    every (high, low) pair is evaluated, ``2**chunk_bits`` pairs per numpy
+    block.  Ties go to the lexicographically smallest bitstring, independent
+    of chunking.  Raises ``TooLarge`` beyond ``max_vars`` variables and
+    ``ValueError`` on non-finite coefficients.
     """
     m = model.num_vars
     if m < 1:
         raise ValueError("the model has no variables")
     if m > max_vars:
         raise TooLarge(f"{m} variables exceed the cap of {max_vars}")
+    lin, quad = _dense(model)
+    offset = float(model.offset)
+    # A finite sum of magnitudes also bounds every partial sum below.
+    with np.errstate(over="ignore"):
+        magnitude = abs(offset) + np.abs(lin).sum() + np.abs(quad).sum()
+    if not math.isfinite(magnitude):
+        raise ValueError("model coefficients and offset must be finite")
 
-    reduced = _uniform_registers(model)
-    n_enum = model.var_map.num_route_vars if reduced is not None else m
-    lin, quad = _dense_arrays(model, n_enum)
+    owner = _interchangeable(lin, quad)
+    n = _enumerated_prefix(owner, quad)
+    n_lo = min((n + 1) // 2, chunk_bits)
+    n_hi = n - n_lo
+    hi, lo = slice(0, n_hi), slice(n_hi, n)
+    upper = np.triu(quad)
 
-    best_energy = math.inf
-    best_index = -1
-    for idx in _chunks(1 << n_enum, chunk_bits):
-        bits = _bits_of(idx, n_enum)
-        energies = float(model.offset) + bits @ lin + ((bits @ quad) * bits).sum(axis=1)
-        if reduced is not None:
-            for reg in reduced:
-                t = np.arange(reg.length + 1, dtype=np.float64)
-                base = reg.lin * t + reg.pair * t * (t - 1) / 2.0
-                coupling = bits @ reg.cross
-                energies += (base[None, :] + coupling[:, None] * t[None, :]).min(axis=1)
-        pos = int(np.argmin(energies))
-        if energies[pos] < best_energy:
-            best_energy = float(energies[pos])
-            best_index = int(idx[pos])
+    def half_energy(bits: np.ndarray, half: slice) -> np.ndarray:
+        return bits @ lin[half] + ((bits @ upper[half, half]) * bits).sum(axis=1)
 
-    prefix = format(best_index, f"0{n_enum}b") if n_enum else ""
-    if reduced is None:
-        solution = prefix
-    else:
-        route_bits = np.array([1.0 if c == "1" else 0.0 for c in prefix])
-        tail = []
-        for reg in reduced:
-            t = np.arange(reg.length + 1, dtype=np.float64)
-            base = reg.lin * t + reg.pair * t * (t - 1) / 2.0
-            coupling = float(route_bits @ reg.cross) if n_enum else 0.0
-            t_best = int(np.argmin(base + coupling * t))
-            tail.append("0" * (reg.length - t_best) + "1" * t_best)
-        solution = prefix + "".join(tail)
+    # E(h, l) = [h | 1 | E_hi(h)] @ [Q_hl l ; E_lo(l) + offset ; 1]
+    lo_bits = _bits_of(np.arange(1 << n_lo), n_lo)
+    right = np.vstack(
+        [quad[hi, lo] @ lo_bits.T, half_energy(lo_bits, lo) + offset, np.ones(1 << n_lo)]
+    )
+    # A trailing group with t set bits adds lin*t + pair*t(t-1)/2 + t*(c @ x),
+    # and c @ x separates into h @ c_hi + l @ c_lo.  Keep t >= 1 per row;
+    # t = 0 adds nothing.
+    tails = []
+    for members in (np.flatnonzero(owner == first) for first in np.unique(owner[n:])):
+        t = np.arange(1, len(members) + 1, dtype=np.float64)[:, None]
+        pair = quad[members[0], members[1]] if len(members) > 1 else 0.0
+        c = quad[members[0]]
+        lo_terms = lin[members[0]] * t + pair * t * (t - 1) / 2.0 + t * (lo_bits @ c[lo])
+        tails.append((members, t, c[hi], lo_terms))
 
-    value = energy(model, solution)
-    return solution, value
+    rows = 1 << min(chunk_bits - n_lo, n_hi)
+    term = np.empty((rows, 1 << n_lo))
+    least = np.empty_like(term)
+    best_energy, best_index = math.inf, -1
+    for h0 in range(0, 1 << n_hi, rows):
+        hi_bits = _bits_of(np.arange(h0, h0 + rows), n_hi)
+        left = np.column_stack([hi_bits, np.ones(rows), half_energy(hi_bits, hi)])
+        energies = left @ right
+        for _, t, c_hi, lo_terms in tails:
+            hi_terms = t * (hi_bits @ c_hi)
+            least.fill(0.0)
+            for hi_t, lo_t in zip(hi_terms, lo_terms):
+                np.add(hi_t[:, None], lo_t, out=term)
+                np.minimum(least, term, out=least)
+            energies += least
+        pos = int(energies.argmin())
+        if energies.flat[pos] < best_energy:
+            best_energy = float(energies.flat[pos])
+            best_index = (h0 << n_lo) + pos
+
+    bits = np.zeros(m, dtype=np.int64)
+    bits[:n] = _bits_of(np.array([best_index]), n)[0]
+    for members, t, c_hi, lo_terms in tails:
+        terms = t[:, 0] * (bits[hi] @ c_hi) + lo_terms[:, best_index % (1 << n_lo)]
+        count = int(np.argmin(np.concatenate([[0.0], terms])))
+        bits[members[len(members) - count :]] = 1  # highest-index members first
+    solution = "".join("1" if b else "0" for b in bits)
+    return solution, energy(model, solution)
 
 
 @dataclass(frozen=True)
@@ -577,15 +570,25 @@ def export_model(model: QuboModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"model line {lineno}: {what} {token!r} is not an integer") from None
+
+
 def _parse_number(token: str, lineno: int) -> Number:
     try:
         return int(token)
     except ValueError:
         pass
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ValueError(f"model line {lineno}: {token!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"model line {lineno}: {token!r} is not a finite number")
+    return value
 
 
 def parse_model(text: str) -> QuboModel:
@@ -600,7 +603,7 @@ def parse_model(text: str) -> QuboModel:
     head = lines[0].split()
     if len(head) != 4:
         raise ValueError("the header is 'QUBO <num_vars> <offset> <penalty>'")
-    num_vars = int(head[1])
+    num_vars = _parse_int(head[1], 1, "num_vars")
     if num_vars < 1:
         raise ValueError("num_vars must be positive")
     offset = _parse_number(head[2], 1)
@@ -610,12 +613,18 @@ def parse_model(text: str) -> QuboModel:
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if parts[0] == "L" and len(parts) == 3:
-            a = int(parts[1])
+            try:
+                a = int(parts[1])
+            except ValueError:
+                a = _parse_int(parts[1], lineno, "index")  # raises, naming the line
             if not 0 <= a < num_vars:
                 raise ValueError(f"model line {lineno}: index {a} out of range")
             linear[a] = linear.get(a, 0) + _parse_number(parts[2], lineno)
         elif parts[0] == "Q" and len(parts) == 4:
-            a, b = int(parts[1]), int(parts[2])
+            try:
+                a, b = int(parts[1]), int(parts[2])
+            except ValueError:  # _parse_int raises, naming the line and the token
+                a, b = (_parse_int(tok, lineno, "index") for tok in parts[1:3])
             if a == b or not (0 <= a < num_vars and 0 <= b < num_vars):
                 raise ValueError(f"model line {lineno}: bad index pair ({a}, {b})")
             key = (a, b) if a < b else (b, a)

@@ -107,6 +107,13 @@ class TestScalings:
         qubo = measurement_estimate(EncodingKind.QUBO, size, weight)
         assert hobo / qubo == 1.0 / size
 
+    def test_measurements_stay_exact_beyond_float_precision(self):
+        # 9777**3 * 9779 exceeds 2**53, where a float count would round
+        qubo = measurement_estimate(EncodingKind.QUBO, 9777, 9779)
+        hobo = measurement_estimate(EncodingKind.HOBO, 9777, 9779)
+        assert qubo == 9777**3 * 9779
+        assert hobo / qubo == 1.0 / 9777
+
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             hamiltonian_terms(EncodingKind.QUBO, 0)

@@ -276,6 +276,16 @@ class TestInstanceValidation:
                 coords=((0.0, 0.0), (1.0, 1.0)),
             )
 
+    @pytest.mark.parametrize(
+        "row, bad_row, node",
+        [(" 2 0 3\n", " 2 nan 3\n", 1), (" 3 4 0\n", " 3 4 inf\n", 2)],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_coordinates_rejected(self, triangle_text, row, bad_row, node):
+        # nodes are 0-based once parsed: file node 2 is node 1
+        with pytest.raises(InvalidInstance, match=f"node {node} must be finite"):
+            parse_instance(triangle_text.replace(row, bad_row))
+
     def test_depot_demand_must_be_zero(self, triangle_text):
         with pytest.raises(InvalidInstance, match="depot"):
             parse_instance(triangle_text.replace("1 0\n", "1 9\n"))

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import family_instance
 from qcvrp import (
@@ -32,6 +36,7 @@ from qcvrp.qubo import (
     VarIndex,
 )
 from routing_oracle import best_routes_cost
+from test_acceptance import small_family
 
 OPT_TOUR_BITS = "01100100"  # triangle optimum: depot -> 2 -> 1 -> depot, empty slack
 ALT_TOUR_BITS = "10011000"  # the mirror tour, same cost, lexicographically later
@@ -194,7 +199,7 @@ class TestBruteForce:
 
     def test_reduced_and_plain_enumeration_agree(self, triangle):
         model = build_qubo(triangle)
-        plain = parse_model(export_model(model))  # no var map: full enumeration
+        plain = parse_model(export_model(model))  # no var map: groups from coefficients
         assert plain.var_map is None
         assert brute_force_solve(plain) == brute_force_solve(model)
 
@@ -235,6 +240,90 @@ class TestBruteForce:
         assert decoding.violations == []
         assert decoding.total_cost == best_routes_cost(inst)
         assert best == decoding.total_cost
+
+
+def reference_solve(model: QuboModel) -> tuple[str, object]:
+    """Plain exhaustive search in index order; the first strict minimum wins."""
+    best = None
+    for bits in itertools.product("01", repeat=model.num_vars):
+        assignment = "".join(bits)
+        value = energy(model, assignment)
+        if best is None or value < best[1]:
+            best = (assignment, value)
+    return best
+
+
+@st.composite
+def planted_models(draw) -> QuboModel:
+    """Small integer models with planted groups of interchangeable variables.
+
+    Variables share a kind; the coefficients depend only on kinds, so equal
+    kinds are interchangeable.  Kinds start as contiguous runs (like slack
+    registers), indices may then be permuted so that groups interleave, and
+    one linear term may be nudged to break a group.  Many zero couplings let
+    trailing groups decouple, and tiny coefficients make ties common.
+    """
+    m = draw(st.integers(1, 12))
+    kinds = sorted(draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        kinds = draw(st.permutations(kinds))
+    coeff = st.integers(-2, 2)
+    sparse = st.sampled_from([0, 0, 0, -2, -1, 1, 2])
+    lin_of = {k: draw(coeff) for k in sorted(set(kinds))}
+    pair_of = {}
+    linear = {i: lin_of[k] for i, k in enumerate(kinds) if lin_of[k]}
+    quadratic = {}
+    for i, j in itertools.combinations(range(m), 2):
+        key = tuple(sorted((kinds[i], kinds[j])))
+        if key not in pair_of:
+            pair_of[key] = draw(sparse)
+        if pair_of[key]:
+            quadratic[(i, j)] = pair_of[key]
+    if draw(st.booleans()):
+        nudged = draw(st.integers(0, m - 1))
+        linear[nudged] = linear.get(nudged, 0) + 1
+    return QuboModel(m, linear, quadratic, offset=draw(coeff), penalty=1)
+
+
+class TestSolverKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(planted_models())
+    def test_matches_plain_exhaustive_search(self, model):
+        expected = reference_solve(model)
+        for chunk_bits in (1, 3, 18):
+            assert brute_force_solve(model, chunk_bits=chunk_bits) == expected
+
+    def test_interleaved_groups_keep_the_tie_break(self):
+        # Bit 0 is enumerated; groups {1, 3} and {2, 4} are reduced.  With
+        # bit 0 clear each group ties between one and two set bits, and
+        # setting bit 0 ties with clearing it.  The smallest optimal count
+        # goes on each group's highest-index member.
+        model = QuboModel(
+            num_vars=5,
+            linear={0: 2, 1: -1, 3: -1, 2: -2, 4: -2},
+            quadratic={(1, 3): 1, (2, 4): 2, (0, 1): -1, (0, 3): -1},
+            offset=0,
+            penalty=1,
+        )
+        assert reference_solve(model) == ("00011", -3)
+        for chunk_bits in (0, 1, 18):
+            assert brute_force_solve(model, chunk_bits=chunk_bits) == ("00011", -3)
+
+    def test_model_read_back_from_text_solves_alike(self):
+        for inst in small_family():
+            model = build_qubo(inst)
+            assert brute_force_solve(parse_model(export_model(model))) == brute_force_solve(
+                model
+            ), inst.name
+
+    @pytest.mark.parametrize(
+        "linear, offset",
+        [({0: math.nan}, 0), ({0: math.inf}, 0), ({0: 1}, -math.inf), ({0: 1e308, 1: 1e308}, 0)],
+    )
+    def test_non_finite_coefficients_are_rejected(self, linear, offset):
+        model = QuboModel(num_vars=2, linear=linear, quadratic={}, offset=offset, penalty=1)
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_solve(model)
 
 
 class TestTwoCycleRule:
@@ -373,6 +462,12 @@ class TestModelText:
             ("QUBO 2 0 1\nQ 0 0 1\n", "bad index pair"),
             ("QUBO 2 0 1\nZ 0 1\n", "expected"),
             ("QUBO 2 0 1\nL 0 abc\n", "not a number"),
+            ("QUBO x 0 1\n", "line 1: num_vars 'x' is not an integer"),
+            ("QUBO 2 0 1\nL 0 1\nL y 1\n", "line 3: index 'y' is not an integer"),
+            ("QUBO 2 0 1\nQ 0 z 1\n", "line 2: index 'z' is not an integer"),
+            ("QUBO 2 0 1\nL 0 nan\n", "line 2: 'nan' is not a finite number"),
+            ("QUBO 2 0 1\nQ 0 1 -inf\n", "line 2: '-inf' is not a finite number"),
+            ("QUBO 2 inf 1\n", "line 1: 'inf' is not a finite number"),
         ],
     )
     def test_parse_errors(self, text, message):
