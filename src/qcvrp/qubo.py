@@ -272,12 +272,21 @@ def count_terms(model: QuboModel) -> tuple[int, int]:
 
 
 def _dense(model: QuboModel) -> tuple[np.ndarray, np.ndarray]:
-    """Linear vector and symmetric, zero-diagonal coupling matrix."""
-    lin = np.zeros(model.num_vars)
-    quad = np.zeros((model.num_vars, model.num_vars))
+    """Linear vector and symmetric, zero-diagonal coupling matrix.
+
+    Indices outside ``0..num_vars-1`` raise ``ValueError``; numpy would let
+    a negative one alias a variable from the end.
+    """
+    m = model.num_vars
+    lin = np.zeros(m)
+    quad = np.zeros((m, m))
     for a, coeff in model.linear.items():
+        if not 0 <= a < m:
+            raise ValueError(f"linear index {a} outside 0..{m - 1}")
         lin[a] += coeff
     for (a, b), coeff in model.quadratic.items():
+        if not (0 <= a < m and 0 <= b < m):
+            raise ValueError(f"quadratic index pair ({a}, {b}) outside 0..{m - 1}")
         if a == b:
             lin[a] += coeff  # x * x == x
         else:
@@ -342,7 +351,8 @@ def brute_force_solve(
     every (high, low) pair is evaluated, ``2**chunk_bits`` pairs per numpy
     block.  Ties go to the lexicographically smallest bitstring, independent
     of chunking.  Raises ``TooLarge`` beyond ``max_vars`` variables and
-    ``ValueError`` on non-finite coefficients.
+    ``ValueError`` on an index outside the model or a non-finite
+    coefficient.
     """
     m = model.num_vars
     if m < 1:
@@ -597,21 +607,25 @@ def parse_model(text: str) -> QuboModel:
     The result has no variable map, so it can be evaluated and solved but
     not decoded into routes.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("QUBO"):
+    lines = enumerate(text.splitlines(), start=1)
+    head_no, head = next(((no, ln.split()) for no, ln in lines if ln.split()), (1, []))
+    if not head or not head[0].startswith("QUBO"):
         raise ValueError("model text must start with a 'QUBO' header line")
-    head = lines[0].split()
     if len(head) != 4:
         raise ValueError("the header is 'QUBO <num_vars> <offset> <penalty>'")
-    num_vars = _parse_int(head[1], 1, "num_vars")
+    num_vars = _parse_int(head[1], head_no, "num_vars")
     if num_vars < 1:
         raise ValueError("num_vars must be positive")
-    offset = _parse_number(head[2], 1)
-    penalty = _parse_number(head[3], 1)
+    offset = _parse_number(head[2], head_no)
+    penalty = _parse_number(head[3], head_no)
+    if not penalty > 0:
+        raise ValueError(f"model line {head_no}: penalty must be positive")
     linear: dict[int, Number] = {}
     quadratic: dict[tuple[int, int], Number] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:  # the rest of the text, numbered as in the file
         parts = line.split()
+        if not parts:
+            continue
         if parts[0] == "L" and len(parts) == 3:
             try:
                 a = int(parts[1])

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import vrp_text
 from qcvrp import (
@@ -19,6 +22,7 @@ from qcvrp import (
     parse_instance,
     serialize_instance,
 )
+from qcvrp import instances
 from qcvrp.instances import edge_weight, max_edge_weight, nint, weight_matrix
 
 EXPLICIT_TEXT = """NAME : tiny-matrix
@@ -110,6 +114,77 @@ class TestParsing:
             edge_weight(triangle, 0, 3)
         with pytest.raises(IndexError):
             edge_weight(triangle, -1, 0)
+
+
+FINITE = {"allow_nan": False, "allow_infinity": False}
+# Points on the x axis at half-integer positions put distances exactly on
+# the .5 rounding boundary; wide floats stay below 1e15 so every distance
+# fits the matrix's int64.
+POINTS = st.one_of(
+    st.tuples(st.integers(-1000, 1000).map(float), st.integers(-1000, 1000).map(float)),
+    st.tuples(st.integers(-2000, 2000).map(lambda v: v / 2), st.just(0.0)),
+    st.tuples(st.floats(-1e15, 1e15, **FINITE), st.floats(-1e15, 1e15, **FINITE)),
+)
+
+
+# Small weights often put the row maximum on the diagonal.
+SMALL_MATRICES = st.integers(2, 10).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 20), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+def euclidean(coords, name="p", capacity=1, vehicles=1, demands=None) -> CvrpInstance:
+    return CvrpInstance(
+        name=name,
+        dimension=len(coords),
+        capacity=capacity,
+        vehicles=vehicles,
+        demands=tuple(demands) if demands is not None else (0,) * len(coords),
+        weight_kind=WeightKind.EUC_2D,
+        coords=tuple(coords),
+    )
+
+
+def explicit(rows, name="m", capacity=1, vehicles=1, demands=None) -> CvrpInstance:
+    return CvrpInstance(
+        name=name,
+        dimension=len(rows),
+        capacity=capacity,
+        vehicles=vehicles,
+        demands=tuple(demands) if demands is not None else (0,) * len(rows),
+        weight_kind=WeightKind.EXPLICIT,
+        explicit_weights=tuple(map(tuple, rows)),
+    )
+
+
+class TestLongestEdge:
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(POINTS, min_size=2, max_size=30), block=st.integers(1, 40))
+    def test_euclidean_matches_the_matrix(self, points, block):
+        # a small block bound splits the rows into several blocks and a
+        # short last one
+        inst = euclidean(points)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(instances, "_BLOCK_PAIRS", block)
+            assert max_edge_weight(inst) == int(weight_matrix(inst).max())
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=SMALL_MATRICES)
+    def test_explicit_matches_the_matrix_whatever_the_diagonal(self, rows):
+        inst = explicit(rows)
+        assert max_edge_weight(inst) == int(weight_matrix(inst).max())
+
+    def test_euclidean_never_holds_the_matrix(self):
+        rng = random.Random(3000)
+        inst = euclidean([(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(3000)])
+        tracemalloc.start()
+        try:
+            max_edge_weight(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 3000 x 3000 matrix path peaks near 350 MB
+        assert peak < 16 * 2**20
 
 
 class TestDepotNormalization:
@@ -250,6 +325,22 @@ class TestParseErrors:
         with pytest.raises(MalformedLine, match="outside any section"):
             parse_instance("NAME : x\n1 2 3\n")
 
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            ("7 0 4", "7 x y", 9, "edge weight must be an integer, got 'x'"),
+            ("7 0 4", "X1 0 4", 9, "edge weight must be an integer, got 'X1'"),
+            ("7 0 4", "7 0 4\nWEIRD_SECTION", 10, "unknown section 'WEIRD_SECTION'"),
+            ("NAME : tiny-matrix", "name : tiny-matrix", 1, "data line outside any section"),
+            ("3 4\nEOF", "3 4\neof", 15, "demand rows are 'index demand'"),
+        ],
+        ids=["bad-weight-token", "upper-case-data", "unknown-section", "lower-keyword", "lower-eof"],
+    )
+    def test_error_names_the_line(self, old, new, line, message):
+        with pytest.raises(MalformedLine, match=message) as err:
+            parse_instance(EXPLICIT_TEXT.replace(old, new))
+        assert err.value.line_number == line
+
 
 class TestInstanceValidation:
     def test_dimension_lower_bound(self):
@@ -359,6 +450,28 @@ class TestSerialization:
             first = parse_instance(text)
             second = parse_instance(serialize_instance(first))
             assert second == first, f"trial {trial} failed the round trip"
+
+
+@st.composite
+def any_instance(draw) -> CvrpInstance:
+    dim = draw(st.integers(2, 8))
+    fields = {
+        "name": draw(st.text(alphabet="abXY09-_", min_size=1, max_size=8)),
+        "capacity": draw(st.integers(1, 100)),
+        "vehicles": draw(st.integers(1, 9)),
+        "demands": [0] + draw(st.lists(st.integers(0, 100), min_size=dim - 1, max_size=dim - 1)),
+    }
+    if draw(st.booleans()):
+        point = st.tuples(st.floats(**FINITE), st.floats(**FINITE))
+        return euclidean(draw(st.lists(point, min_size=dim, max_size=dim)), **fields)
+    row = st.lists(st.integers(0, 10**6), min_size=dim, max_size=dim)
+    return explicit(draw(st.lists(row, min_size=dim, max_size=dim)), **fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_instance())
+def test_serialized_instances_parse_back_equal(inst):
+    assert parse_instance(serialize_instance(inst)) == inst
 
 
 TRIANGLE_LINES = [

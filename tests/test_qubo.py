@@ -325,6 +325,21 @@ class TestSolverKernel:
         with pytest.raises(ValueError, match="finite"):
             brute_force_solve(model)
 
+    @pytest.mark.parametrize(
+        "linear, quadratic, message",
+        [
+            ({-1: -5}, {}, "linear index -1 outside 0..1"),
+            ({5: 1}, {}, "linear index 5 outside 0..1"),
+            ({}, {(0, 2): 1}, r"index pair \(0, 2\) outside 0..1"),
+            ({}, {(-1, 0): 1}, r"index pair \(-1, 0\) outside 0..1"),
+        ],
+    )
+    def test_indices_outside_the_model_are_rejected(self, linear, quadratic, message):
+        # numpy would read index -1 as the last variable
+        model = QuboModel(num_vars=2, linear=linear, quadratic=quadratic, offset=0, penalty=1)
+        with pytest.raises(ValueError, match=message):
+            brute_force_solve(model)
+
 
 class TestTwoCycleRule:
     @staticmethod
@@ -468,6 +483,10 @@ class TestModelText:
             ("QUBO 2 0 1\nL 0 nan\n", "line 2: 'nan' is not a finite number"),
             ("QUBO 2 0 1\nQ 0 1 -inf\n", "line 2: '-inf' is not a finite number"),
             ("QUBO 2 inf 1\n", "line 1: 'inf' is not a finite number"),
+            ("QUBO 2 0 1\n\n\nL 0 x", "line 4: 'x' is not a number"),
+            ("\nQUBO x 0 1\n", "line 2: num_vars 'x' is not an integer"),
+            ("QUBO 2 0 -5\n", "line 1: penalty must be positive"),
+            ("QUBO 2 0 0\n", "line 1: penalty must be positive"),
         ],
     )
     def test_parse_errors(self, text, message):
