@@ -214,25 +214,28 @@ class ResourceEstimate:
             raise ValueError("error_rate_threshold must be the reciprocal quantum volume")
 
 
-def estimate_instance(
-    inst: CvrpInstance,
+def estimate_resources(
+    customers: int,
+    vehicles: int,
+    capacity: int,
+    max_weight: float,
     encoding: EncodingKind,
     convention: SizeConvention = SizeConvention.STRICT,
     layers: int = DEFAULT_LAYERS,
     log_mode: LogMode = LogMode.FLOOR,
 ) -> ResourceEstimate:
-    """Full resource estimate for a parsed instance.
+    """Full resource estimate from a size triple and the longest edge weight.
 
     The qubit count of the chosen encoding doubles as the size parameter for
-    the term, volume, and measurement scalings.  Fractional HOBO counts under
-    REAL are rounded to the nearest whole qubit; ``convention`` only affects
-    the QUBO encoding, and ``log_mode`` only the HOBO one.
+    the term, volume, and measurement scalings; ``max_weight`` scales only
+    the measurement estimate.  Fractional HOBO counts under REAL are rounded
+    to the nearest whole qubit; ``convention`` only affects the QUBO
+    encoding, and ``log_mode`` only the HOBO one.
     """
-    n, k, cap = inst.customers, inst.vehicles, inst.capacity
     if encoding is EncodingKind.QUBO:
-        qubits = qubo_qubits(n, k, cap, convention)
+        qubits = qubo_qubits(customers, vehicles, capacity, convention)
     else:
-        qubits = nint(float(hobo_qubits(n, k, cap, log_mode)))
+        qubits = nint(float(hobo_qubits(customers, vehicles, capacity, log_mode)))
     depth = depth_estimate(qubits, layers)
     volume = quantum_volume(qubits, depth)
     return ResourceEstimate(
@@ -241,7 +244,21 @@ def estimate_instance(
         terms=hamiltonian_terms(encoding, qubits),
         depth=depth,
         circuit_volume=circuit_volume(encoding, qubits),
-        measurements=measurement_estimate(encoding, qubits, max(1, max_edge_weight(inst))),
+        measurements=measurement_estimate(encoding, qubits, max_weight),
         quantum_volume=volume,
         error_rate_threshold=error_rate_threshold(volume),
+    )
+
+
+def estimate_instance(
+    inst: CvrpInstance,
+    encoding: EncodingKind,
+    convention: SizeConvention = SizeConvention.STRICT,
+    layers: int = DEFAULT_LAYERS,
+    log_mode: LogMode = LogMode.FLOOR,
+) -> ResourceEstimate:
+    """``estimate_resources`` for a parsed instance and its longest edge (at least 1)."""
+    return estimate_resources(
+        inst.customers, inst.vehicles, inst.capacity, max(1, max_edge_weight(inst)),
+        encoding, convention, layers, log_mode,
     )

@@ -83,10 +83,11 @@ class CvrpInstance:
             object.__setattr__(
                 self, "coords", tuple((float(x), float(y)) for x, y in self.coords)
             )
+            # NaN and inf fail the bound too; within it every distance stays below 2**63
             for node, (x, y) in enumerate(self.coords):
-                if not (math.isfinite(x) and math.isfinite(y)):
+                if not (abs(x) <= 2.0**61 and abs(y) <= 2.0**61):
                     raise InvalidInstance(
-                        f"coordinates of node {node} must be finite, got ({x}, {y})"
+                        f"coordinates of node {node} must be finite and within 2**61, got ({x}, {y})"
                     )
         if self.explicit_weights is not None:
             object.__setattr__(

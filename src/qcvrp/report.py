@@ -19,18 +19,12 @@ from .encoding import (
     LogMode,
     ResourceEstimate,
     SizeConvention,
-    circuit_volume,
-    depth_estimate,
-    error_rate_threshold,
-    hamiltonian_terms,
-    hobo_qubits,
-    measurement_estimate,
-    quantum_volume,
+    estimate_resources,
     qubo_qubits,
 )
 from .errors import EmptyInput, SchemaError
 from .hardware import HardwareProfile, classify, feasibility_point
-from .instances import nint
+from .qubo import _format_number
 from .value import GapRecord
 
 TEXT = "text"
@@ -131,22 +125,8 @@ def params_estimate(
     Works without coordinates or demands, so the measurement estimate uses a
     unit maximum edge weight; multiply by the real weight to specialize.
     """
-    n, k, cap = params.customers, params.vehicles, params.capacity
-    if encoding is EncodingKind.QUBO:
-        qubits = qubo_qubits(n, k, cap, convention)
-    else:
-        qubits = nint(float(hobo_qubits(n, k, cap, log_mode)))
-    depth = depth_estimate(qubits, layers)
-    volume = quantum_volume(qubits, depth)
-    return ResourceEstimate(
-        encoding=encoding,
-        qubits=qubits,
-        terms=hamiltonian_terms(encoding, qubits),
-        depth=depth,
-        circuit_volume=circuit_volume(encoding, qubits),
-        measurements=measurement_estimate(encoding, qubits, 1.0),
-        quantum_volume=volume,
-        error_rate_threshold=error_rate_threshold(volume),
+    return estimate_resources(
+        params.customers, params.vehicles, params.capacity, 1, encoding, convention, layers, log_mode
     )
 
 
@@ -211,19 +191,13 @@ def render_resource_table(
     return _render_columns(RESOURCE_COLUMNS, rows, banner, fmt)
 
 
-def _format_value(value: float) -> str:
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
 def render_gap_table(records: list[GapRecord], fmt: str = TEXT) -> str:
     """Best-known solution vs lower bound table with gaps at two decimals."""
     rows = [
         (
             rec.instance_name,
-            _format_value(rec.bks),
-            _format_value(rec.lower_bound),
+            _format_number(rec.bks),
+            _format_number(rec.lower_bound),
             f"{rec.gap_percent:.2f}",
         )
         for rec in records

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import vrp_text
-from qcvrp.cli import cli_main
+from qcvrp.cli import build_parser, cli_main
 
 
 @pytest.fixture
@@ -211,6 +211,50 @@ class TestDiagram:
         assert code == 0
         assert f"wrote {out_path}: 23 points, 0 feasible, profile gen-next-high" in out
         assert out_path.read_text(encoding="utf-8").startswith("<svg ")
+
+
+ESTIMATE_DEFAULTS = ("--layers", "5", "--log-mode", "floor")
+COMMANDS = ("parse", "estimate", "classify", "table", "gaps", "diagram", "qubo", "solve", "value")
+
+
+class TestDefaultsAndHelp:
+    def test_diagram_defaults_to_hobo_compat(self, capsys):
+        plain = run_cli(capsys, "diagram", "--format", "csv")
+        assert plain[0] == 0
+        assert plain == run_cli(
+            capsys, "diagram", "--format", "csv", "--encoding", "hobo", "--convention", "compat",
+            *ESTIMATE_DEFAULTS,
+        )
+        # the convention only shows under the QUBO encoding
+        qubo = run_cli(capsys, "diagram", "--format", "csv", "--encoding", "qubo")
+        assert qubo == run_cli(capsys, "diagram", "--format", "csv", "--encoding", "qubo", "--convention", "compat")
+        assert qubo != run_cli(capsys, "diagram", "--format", "csv", "--encoding", "qubo", "--convention", "strict")
+
+    def test_classify_defaults_to_hobo_strict(self, capsys, triangle_file):
+        plain = run_cli(capsys, "classify", triangle_file)
+        assert plain[0] == 0
+        assert plain == run_cli(
+            capsys, "classify", triangle_file, "--encoding", "hobo", "--convention", "strict",
+            *ESTIMATE_DEFAULTS,
+        )
+        qubo = run_cli(capsys, "classify", triangle_file, "--encoding", "qubo")
+        assert qubo == run_cli(capsys, "classify", triangle_file, "--encoding", "qubo", "--convention", "strict")
+        assert qubo != run_cli(capsys, "classify", triangle_file, "--encoding", "qubo", "--convention", "compat")
+
+    @pytest.mark.parametrize(
+        "argv, convention",
+        [(["estimate", "f"], "strict"), (["classify", "f"], "strict"), (["table"], "compat"), (["diagram"], "compat")],
+    )
+    def test_each_subcommand_keeps_its_own_convention_default(self, argv, convention):
+        # one parser holds every subcommand, so a default set on one must not leak to another
+        assert build_parser().parse_args(argv).convention == convention
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: qcvrp {command} ")
+        assert ("--encoding" in out) == (command in ("estimate", "classify", "diagram"))
 
 
 class TestQuboAndSolve:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -10,10 +11,13 @@ from benchmark_data import RESOURCE_ROWS
 from conftest import vrp_text
 from qcvrp import (
     DEFAULT_LAYERS,
+    CvrpInstance,
     EncodingKind,
+    InstanceParams,
     LogMode,
     ResourceEstimate,
     SizeConvention,
+    WeightKind,
     circuit_volume,
     depth_estimate,
     error_rate_threshold,
@@ -21,10 +25,12 @@ from qcvrp import (
     hamiltonian_terms,
     hobo_qubits,
     measurement_estimate,
+    params_estimate,
     parse_instance,
     quantum_volume,
     qubo_qubits,
 )
+from qcvrp.instances import max_edge_weight
 
 sizes = st.integers(min_value=1, max_value=2000)
 
@@ -206,3 +212,31 @@ def test_estimate_internal_consistency(n, k, cap):
     assert est.quantum_volume == est.qubits * est.depth
     assert est.depth == DEFAULT_LAYERS * est.qubits
     assert math.isclose(est.error_rate_threshold * est.quantum_volume, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    k=st.integers(1, 9),
+    cap=st.integers(1, 500),
+    encoding=st.sampled_from(EncodingKind),
+    convention=st.sampled_from(SizeConvention),
+    log_mode=st.sampled_from(LogMode),
+    layers=st.integers(1, 9),
+    data=st.data(),
+)
+def test_instance_and_params_estimates_agree(n, k, cap, encoding, convention, log_mode, layers, data):
+    point = st.tuples(st.integers(-60, 60), st.integers(-60, 60))
+    inst = CvrpInstance(
+        name="x",
+        dimension=n + 1,
+        capacity=cap,
+        vehicles=k,
+        demands=(0,) + (1,) * n,
+        weight_kind=WeightKind.EUC_2D,
+        coords=tuple(data.draw(st.lists(point, min_size=n + 1, max_size=n + 1))),
+    )
+    from_inst = estimate_instance(inst, encoding, convention, layers, log_mode)
+    from_params = params_estimate(InstanceParams("x", n, k, cap), encoding, convention, layers, log_mode)
+    assert from_inst.measurements == from_params.measurements * max(1, max_edge_weight(inst))
+    assert from_inst == dataclasses.replace(from_params, measurements=from_inst.measurements)

@@ -377,6 +377,18 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstance, match=f"node {node} must be finite"):
             parse_instance(triangle_text.replace(row, bad_row))
 
+    @pytest.mark.parametrize(
+        "far", [(1e19, 0.0), (0.0, -math.nextafter(2.0**61, math.inf))], ids=["1e19", "past-bound"]
+    )
+    def test_coordinates_beyond_two_to_the_61_rejected(self, far):
+        # a distance of 2**63 or more would wrap in the int64 weights
+        with pytest.raises(InvalidInstance, match=r"node 1 must be finite and within 2\*\*61"):
+            euclidean([(0.0, 0.0), far, (1.0, 0.0)])
+
+    def test_widest_coordinates_keep_exact_weights(self):
+        widest = euclidean([(-(2.0**61), -(2.0**61)), (2.0**61, 2.0**61)])
+        assert max_edge_weight(widest) == int(weight_matrix(widest).max()) == nint(2.0**62.5)
+
     def test_depot_demand_must_be_zero(self, triangle_text):
         with pytest.raises(InvalidInstance, match="depot"):
             parse_instance(triangle_text.replace("1 0\n", "1 9\n"))
@@ -462,7 +474,8 @@ def any_instance(draw) -> CvrpInstance:
         "demands": [0] + draw(st.lists(st.integers(0, 100), min_size=dim - 1, max_size=dim - 1)),
     }
     if draw(st.booleans()):
-        point = st.tuples(st.floats(**FINITE), st.floats(**FINITE))
+        coord = st.floats(-(2.0**61), 2.0**61, **FINITE)
+        point = st.tuples(coord, coord)
         return euclidean(draw(st.lists(point, min_size=dim, max_size=dim)), **fields)
     row = st.lists(st.integers(0, 10**6), min_size=dim, max_size=dim)
     return explicit(draw(st.lists(row, min_size=dim, max_size=dim)), **fields)

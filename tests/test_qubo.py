@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -450,13 +451,17 @@ class TestDecodeRoutes:
 
 class TestModelText:
     def test_round_trip(self, triangle):
-        model = build_qubo(triangle)
-        again = parse_model(export_model(model))
-        assert again.num_vars == model.num_vars
-        assert again.offset == model.offset
-        assert again.penalty == model.penalty
-        assert again.linear == model.linear
-        assert dict(again.quadratic) == dict(model.quadratic)
+        built = build_qubo(triangle)
+        # an integer past 2**53 prints exactly, a fraction as its repr
+        wide = dataclasses.replace(built, linear={**built.linear, 0: 2**60 + 1, 1: 0.5})
+        assert "\nL 0 1152921504606846977\nL 1 0.5\n" in export_model(wide)
+        for model in (built, wide):
+            again = parse_model(export_model(model))
+            assert again.num_vars == model.num_vars
+            assert again.offset == model.offset
+            assert again.penalty == model.penalty
+            assert again.linear == model.linear
+            assert dict(again.quadratic) == dict(model.quadratic)
 
     def test_header_shape(self, triangle):
         text = export_model(build_qubo(triangle))

@@ -183,9 +183,16 @@ class TestGapTable:
         assert "Loggi-n401-k23" in text
 
     def test_integers_print_without_decimal_point(self):
-        records = [GapRecord("a", bks=336903, lower_bound=261353.7, gap_percent=22.42)]
-        line = render_gap_table(records).splitlines()[3]
-        assert line.split() == ["a", "336903", "261353.7", "22.42"]
+        records = [
+            GapRecord("a", bks=336903, lower_bound=261353.7, gap_percent=22.42),
+            GapRecord("b", bks=1234.0, lower_bound=1233.9, gap_percent=0.01),
+            GapRecord("c", bks=10**400, lower_bound=1, gap_percent=100.0),
+        ]
+        lines = render_gap_table(records).splitlines()
+        assert lines[3].split() == ["a", "336903", "261353.7", "22.42"]
+        assert lines[4].split() == ["b", "1234", repr(1233.9), "0.01"]
+        # integers print exactly, even beyond the float range
+        assert lines[5].split() == ["c", str(10**400), "1", "100.00"]
 
     def test_gap_rounds_to_two_decimals(self):
         records = [GapRecord("b", bks=3, lower_bound=2, gap_percent=100 / 3)]
