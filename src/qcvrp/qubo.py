@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from itertools import chain, repeat
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -53,15 +54,6 @@ class VarIndex:
     v: int
 
 
-@dataclass(frozen=True)
-class SlackRegister:
-    """One vehicle's unary capacity register: ``length`` bits of weight 1."""
-
-    vehicle: int
-    start: int
-    length: int
-
-
 class VariableMap:
     """Bijection between structured variables and flat bit positions.
 
@@ -76,10 +68,6 @@ class VariableMap:
         self.capacity = capacity
         self.num_route_vars = vehicles * nodes * (nodes - 1)
         self.num_vars = self.num_route_vars + vehicles * capacity
-        self.slack_registers = tuple(
-            SlackRegister(v, self.num_route_vars + v * capacity, capacity)
-            for v in range(vehicles)
-        )
 
     def route_index(self, var: VarIndex) -> int:
         n = self.nodes
@@ -97,12 +85,6 @@ class VariableMap:
         i, j_rank = divmod(rest, self.nodes - 1)
         j = j_rank if j_rank < i else j_rank + 1
         return VarIndex(i=i, j=j, v=v)
-
-    def slack_index(self, vehicle: int, bit: int) -> int:
-        reg = self.slack_registers[vehicle]
-        if not (0 <= bit < reg.length):
-            raise IndexError(f"slack bit {bit} outside register of length {reg.length}")
-        return reg.start + bit
 
     def describe(self, flat: int) -> str:
         if flat < self.num_route_vars:
@@ -123,9 +105,10 @@ class QuboModel:
     ``linear`` maps flat indices to coefficients and ``quadratic`` maps
     index pairs ``(a, b)`` with ``a < b``; ``offset`` is the constant term
     and ``penalty`` the scale applied to every constraint.  Models built
-    from an instance carry a ``var_map``, which only ``decode_routes``
-    needs; models read back from text do not, and evaluate and solve the
-    same way.
+    from an instance, and models read back from text that ``export_model``
+    wrote, list their terms in ascending index order.  Built models carry a
+    ``var_map``, which only ``decode_routes`` needs; models read back from
+    text do not, and evaluate and solve the same way.
     """
 
     num_vars: int
@@ -155,7 +138,8 @@ def build_qubo(
     plus ``vehicles * capacity`` slack bits.  ``penalty`` is a positive
     number or ``"auto"``, which picks twice the node count times the longest
     edge.  ``forbid_two_cycles`` keeps the isolated-pair penalty on; it only
-    exists so tests can study the plain degree-constraint model.
+    exists so tests can study the plain degree-constraint model.  Terms are
+    listed in ascending index order.
     """
     if penalty == AUTO:
         scale: Number = _auto_penalty(inst)
@@ -170,75 +154,99 @@ def build_qubo(
     k = inst.vehicles
     cap = inst.capacity
     vmap = VariableMap(nodes, k, cap)
+    m = vmap.num_vars
     weights = weight_matrix(inst)
+    off_diag = ~np.eye(nodes, dtype=bool)
+    # arc[v, i, j] is the flat index of x[v, i -> j]; the boolean mask walks
+    # (i, j) row by row, which is VariableMap order.
+    arc = np.full((k, nodes, nodes), -1, dtype=np.int64)
+    arc[:, off_diag] = np.arange(vmap.num_route_vars).reshape(k, -1)
+    # Coefficients stay in int64 while no integer sum can reach 2**63, and
+    # become Python ints otherwise.  An entry sums at most one objective
+    # weight, one term of each square below and one pair rule; a float
+    # penalty leaves only the products of the integer coefficients.
+    biggest = max(1, cap, *inst.demands)
+    int_scale = scale if isinstance(scale, int) else 1
+    n_squares = nodes - 1 + k * (nodes + 2)
+    wide = (n_squares + 2) * max(int(weights.max()), 3 * int_scale * biggest * biggest) >= 2**63
+    coeff_type = object if wide else np.int64
+    load = np.repeat(np.array(inst.demands[1:], dtype=coeff_type), nodes - 1)
 
-    linear: dict[int, Number] = {}
-    quadratic: dict[tuple[int, int], Number] = {}
-    offset: Number = 0
-
-    def add_linear(a: int, coeff: Number) -> None:
-        linear[a] = linear.get(a, 0) + coeff
-
-    def add_quadratic(a: int, b: int, coeff: Number) -> None:
-        key = (a, b) if a < b else (b, a)
-        quadratic[key] = quadratic.get(key, 0) + coeff
-
-    def add_square(terms: list[tuple[int, Number]], constant: Number) -> None:
-        # scale * (sum coeff_a * x_a + constant)**2, using x**2 == x.
-        nonlocal offset
-        offset += scale * constant * constant
-        for pos, (a, ca) in enumerate(terms):
-            add_linear(a, scale * (ca * ca + 2 * constant * ca))
-            for b, cb in terms[pos + 1 :]:
-                add_quadratic(a, b, 2 * scale * ca * cb)
-
-    def arc(v: int, i: int, j: int) -> int:
-        return vmap.route_index(VarIndex(i=i, j=j, v=v))
-
+    # Squared penalties scale * (sum c_a * x_a + constant)**2 as (indices,
+    # coefficients, constant), in the order that float sums follow.
+    squares = [(arc[:, i, off_diag[i]].ravel(), 1, -1) for i in range(1, nodes)]
     for v in range(k):
-        for i in range(nodes):
-            for j in range(nodes):
-                if i != j and weights[i, j]:
-                    add_linear(arc(v, i, j), int(weights[i, j]))
-
-    for i in range(1, nodes):
-        outgoing = [
-            (arc(v, i, j), 1) for v in range(k) for j in range(nodes) if j != i
-        ]
-        add_square(outgoing, -1)
-
-    for v in range(k):
-        add_square([(arc(v, 0, j), 1) for j in range(1, nodes)], -1)
-        add_square([(arc(v, i, 0), 1) for i in range(1, nodes)], -1)
+        squares.append((arc[v, 0, 1:], 1, -1))
+        squares.append((arc[v, 1:, 0], 1, -1))
         for i in range(1, nodes):
-            balance = [(arc(v, i, j), 1) for j in range(nodes) if j != i]
-            balance += [(arc(v, j, i), -1) for j in range(nodes) if j != i]
-            add_square(balance, 0)
-        load = [
-            (arc(v, i, j), inst.demands[i])
-            for i in range(1, nodes)
-            for j in range(nodes)
-            if j != i and inst.demands[i]
-        ]
-        load += [(vmap.slack_index(v, t), 1) for t in range(cap)]
-        add_square(load, -cap)
+            out_in = np.concatenate([arc[v, i, off_diag[i]], arc[v, off_diag[i], i]])
+            squares.append((out_in, np.repeat([1, -1], nodes - 1), 0))
+        carried = arc[v, 1:][off_diag[1:]][load != 0]
+        slack = vmap.num_route_vars + v * cap + np.arange(cap)
+        squares.append((np.concatenate([carried, slack]), np.append(load[load != 0], [1] * cap), -cap))
 
-    if forbid_two_cycles:
-        for v in range(k):
-            for i in range(1, nodes):
-                for j in range(i + 1, nodes):
-                    add_quadratic(arc(v, i, j), arc(v, j, i), scale)
+    offset: Number = 0
+    lin_keys = [arc[:, off_diag].ravel()]
+    lin_vals = [np.tile(weights[off_diag], k).astype(coeff_type)]
+    quad_keys, quad_vals = [], []
+    for idx, coeffs, constant in squares:
+        c = np.broadcast_to(coeffs, idx.shape).astype(coeff_type)
+        offset += scale * constant * constant
+        lin_keys.append(idx)
+        lin_vals.append(scale * (c * c + 2 * constant * c))
+        p, q = np.triu_indices(len(idx), 1)
+        quad_keys.append(np.minimum(idx[p], idx[q]) * m + np.maximum(idx[p], idx[q]))
+        quad_vals.append(2 * scale * c[p] * c[q])
+    if forbid_two_cycles:  # i < j, so x[v, i -> j] has the smaller index
+        i, j = np.triu_indices(nodes - 1, 1)
+        inner = arc[:, 1:, 1:]
+        quad_keys.append((inner[:, i, j] * m + inner[:, j, i]).ravel())
+        quad_vals.append(scale * np.ones(k * len(i), dtype=coeff_type))
 
-    linear = {a: c for a, c in linear.items() if c != 0}
-    quadratic = {ab: c for ab, c in quadratic.items() if c != 0}
-    return QuboModel(
-        num_vars=vmap.num_vars,
-        linear=linear,
-        quadratic=quadratic,
-        offset=offset,
-        penalty=scale,
-        var_map=vmap,
-    )
+    lin_at, lin_sum = _accumulate(lin_keys, lin_vals)
+    quad_at, quad_sum = _accumulate(quad_keys, quad_vals)
+    del lin_keys, lin_vals, quad_keys, quad_vals  # freed before the dicts grow
+    linear, quadratic = _term_dicts(lin_at, lin_sum, np.bincount(quad_at // m), quad_at % m, quad_sum)
+    return QuboModel(m, linear, quadratic, offset, scale, vmap)
+
+
+def _accumulate(keys: list[np.ndarray], values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sum values per key into sorted keys, dropping zero sums.
+
+    The stable sort keeps each key's values in the order given and
+    ``np.add.at`` adds them in that order, so float sums follow the order
+    of their terms.
+    """
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.concatenate([[True], keys[1:] != keys[:-1]])
+    values = np.concatenate(values)[order]
+    sums = np.zeros(np.count_nonzero(first), dtype=values.dtype)
+    np.add.at(sums, np.cumsum(first) - 1, values)
+    nonzero = sums != 0
+    return keys[first][nonzero], sums[nonzero]
+
+
+def _term_dicts(
+    lin_at: np.ndarray,
+    lin_sum: np.ndarray,
+    row_sizes: np.ndarray,
+    columns: np.ndarray,
+    quad_sum: np.ndarray,
+) -> tuple[dict[int, Number], dict[tuple[int, int], Number]]:
+    """Plain term dicts, in array order, from index and coefficient arrays.
+
+    The quadratic keys are ``(a, b)`` with ``a`` ascending, each ``a``
+    repeated ``row_sizes[a]`` times, and ``b`` taken from ``columns``.  Keys
+    share one int object per variable, which keeps the dicts, the largest
+    part of a model, small.
+    """
+    size = max(len(row_sizes), lin_at.max(initial=-1) + 1, columns.max(initial=-1) + 1)
+    names = np.arange(size).astype(object)
+    linear = dict(zip(names[lin_at], lin_sum.tolist()))
+    rows = chain.from_iterable(map(repeat, names, row_sizes.tolist()))
+    return linear, dict(zip(zip(rows, names[columns]), quad_sum.tolist()))
 
 
 def _check_assignment(model: QuboModel, assignment: str) -> list[int]:
@@ -252,15 +260,26 @@ def _check_assignment(model: QuboModel, assignment: str) -> list[int]:
 
 
 def energy(model: QuboModel, assignment: str) -> Number:
-    """Evaluate the model on a bitstring (index 0 is the leftmost bit)."""
-    bits = _check_assignment(model, assignment)
+    """Evaluate the model on a bitstring (index 0 is the leftmost bit).
+
+    An index outside ``0..num_vars-1`` raises ``ValueError``; a list would
+    let a negative one alias a bit from the end.
+    """
+    bits = dict(enumerate(_check_assignment(model, assignment)))
+    last = model.num_vars - 1
     total = model.offset
-    for a, coeff in model.linear.items():
-        if bits[a]:
-            total += coeff
-    for (a, b), coeff in model.quadratic.items():
-        if bits[a] and bits[b]:
-            total += coeff
+    try:
+        for a, coeff in model.linear.items():
+            if bits[a]:
+                total += coeff
+    except KeyError:
+        raise ValueError(f"linear index {a} outside 0..{last}") from None
+    try:
+        for (a, b), coeff in model.quadratic.items():
+            if bits[a] & bits[b]:  # both looked up, so either index is checked
+                total += coeff
+    except KeyError:
+        raise ValueError(f"quadratic index pair ({a}, {b}) outside 0..{last}") from None
     return total
 
 
@@ -571,13 +590,23 @@ def export_model(model: QuboModel) -> str:
     quadratic term, in index order.
     """
     lines = [f"QUBO {model.num_vars} {_format_number(model.offset)} {_format_number(model.penalty)}"]
-    for a in sorted(model.linear):
-        if model.linear[a] != 0:
-            lines.append(f"L {a} {_format_number(model.linear[a])}")
-    for a, b in sorted(model.quadratic):
-        if model.quadratic[(a, b)] != 0:
-            lines.append(f"Q {a} {b} {_format_number(model.quadratic[(a, b)])}")
+    lines += [
+        f"L {a} {c}" if type(c) is int else f"L {a} {_format_number(c)}"
+        for a, c in _sorted_items(model.linear)
+        if c != 0
+    ]
+    lines += [
+        f"Q {a} {b} {c}" if type(c) is int else f"Q {a} {b} {_format_number(c)}"
+        for (a, b), c in _sorted_items(model.quadratic)
+        if c != 0
+    ]
     return "\n".join(lines) + "\n"
+
+
+def _sorted_items(terms: dict) -> Iterator[tuple]:
+    # Sorting the keys alone makes no (key, value) tuple per term.
+    keys = sorted(terms)
+    return zip(keys, map(terms.__getitem__, keys))
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -601,28 +630,88 @@ def _parse_number(token: str, lineno: int) -> Number:
     return value
 
 
-def parse_model(text: str) -> QuboModel:
-    """Read a model back from the text format of :func:`export_model`.
+# The fast parse path takes integers of at most this many digits, far
+# inside int64; ``np.fromstring`` saturates out-of-range ones without a word.
+_FAST_DIGITS = 15
+_HEADS_TO_SPACES = bytes.maketrans(b"LQ", b"  ")
+_LAYOUT_BYTES = b"0123456789 -\nLQ"
 
-    The result has no variable map, so it can be evaluated and solved but
-    not decoded into routes.
+
+def _canonical_values(body: str) -> tuple[np.ndarray, int] | None:
+    """The integers of a model body and its number of ``L`` lines, when the
+    body is laid out exactly as :func:`export_model` writes integer models;
+    None for any other text.
+
+    That layout is ``L`` lines, then ``Q`` lines, each a letter and two or
+    three integers of at most ``_FAST_DIGITS`` digits, joined by single
+    spaces and ended by ``\\n``.
     """
-    lines = enumerate(text.splitlines(), start=1)
-    head_no, head = next(((no, ln.split()) for no, ln in lines if ln.split()), (1, []))
-    if not head or not head[0].startswith("QUBO"):
-        raise ValueError("model text must start with a 'QUBO' header line")
-    if len(head) != 4:
-        raise ValueError("the header is 'QUBO <num_vars> <offset> <penalty>'")
-    num_vars = _parse_int(head[1], head_no, "num_vars")
-    if num_vars < 1:
-        raise ValueError("num_vars must be positive")
-    offset = _parse_number(head[2], head_no)
-    penalty = _parse_number(head[3], head_no)
-    if not penalty > 0:
-        raise ValueError(f"model line {head_no}: penalty must be positive")
+    if not body.isascii() or not body.endswith("\n"):
+        return None
+    raw = body.encode()
+    if raw.translate(None, _LAYOUT_BYTES):  # a byte no integer model writes
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    seps = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
+    ends = seps[buf[seps] == ord("\n")]
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    heads = buf[starts]
+    n_lin = int(np.count_nonzero(heads == ord("L")))
+    # An L line holds two spaces and a newline, a Q line one space more.
+    per_line = 3 + (heads == ord("Q"))
+    first = np.cumsum(per_line) - per_line
+    signs = np.flatnonzero(buf == ord("-"))
+    gaps = np.diff(seps)
+    if not (
+        (heads[:n_lin] == ord("L")).all()
+        and (heads[n_lin:] == ord("Q")).all()
+        and raw.count(b"L") + raw.count(b"Q") == len(heads)  # letters only at line starts
+        and len(seps) == per_line.sum()
+        and (seps[first] == starts + 1).all()
+        and (seps[first + per_line - 1] == ends).all()
+        # every token is one to _FAST_DIGITS digits after at most one sign
+        and gaps.min(initial=2) >= 2
+        and (buf[signs - 1] == ord(" ")).all()
+        and ((buf[signs + 1] >= ord("0")) & (buf[signs + 1] <= ord("9"))).all()
+        and (gaps - (buf[seps[:-1] + 1] == ord("-"))).max(initial=0) <= _FAST_DIGITS + 1
+    ):
+        return None
+    values = np.fromstring(raw.translate(_HEADS_TO_SPACES), dtype=np.int64, sep=" ")
+    return (values, n_lin) if len(values) == len(seps) - len(ends) else None
+
+
+def _canonical_terms(body: str, num_vars: int) -> tuple[dict, dict] | None:
+    """Terms of a model body in the exact layout of :func:`export_model`
+    for integer models, with keys strictly ascending; None for any other
+    text, which the line parser then reads.
+    """
+    if not body:
+        return {}, {}
+    found = _canonical_values(body)
+    if found is None:
+        return None
+    values, n_lin = found
+    lin = values[: 2 * n_lin].reshape(-1, 2)
+    quad = values[2 * n_lin :].reshape(-1, 3)
+    rows, cols = quad[:, 0], quad[:, 1]
+    # No temporary outlives its test: the dicts below are the peak.
+    if not (
+        (np.diff(lin[:, 0]) > 0).all()
+        and (rows < cols).all()
+        and (np.diff(rows) >= 0).all()
+        and (np.diff(cols)[np.diff(rows) == 0] > 0).all()
+        and min(lin[:, 0].min(initial=0), rows.min(initial=0)) >= 0
+        and int(max(lin[:, 0].max(initial=0), cols.max(initial=0))) < num_vars
+    ):
+        return None
+    return _term_dicts(lin[:, 0], lin[:, 1], np.bincount(rows), cols, quad[:, 2])
+
+
+def _parse_lines(lines: Iterator[tuple[int, str]], num_vars: int) -> tuple[dict, dict]:
+    """Terms from numbered body lines, in any order and spacing; repeats add up."""
     linear: dict[int, Number] = {}
     quadratic: dict[tuple[int, int], Number] = {}
-    for lineno, line in lines:  # the rest of the text, numbered as in the file
+    for lineno, line in lines:
         parts = line.split()
         if not parts:
             continue
@@ -645,11 +734,36 @@ def parse_model(text: str) -> QuboModel:
             quadratic[key] = quadratic.get(key, 0) + _parse_number(parts[3], lineno)
         else:
             raise ValueError(f"model line {lineno}: expected 'L i c' or 'Q i j c'")
-    return QuboModel(
-        num_vars=num_vars,
-        linear=linear,
-        quadratic=quadratic,
-        offset=offset,
-        penalty=penalty,
-        var_map=None,
-    )
+    return linear, quadratic
+
+
+def parse_model(text: str) -> QuboModel:
+    """Read a model back from the text format of :func:`export_model`.
+
+    Any other spacing, blank lines, term order or repeated terms (which
+    add up) are accepted too; the terms are listed in the order of the
+    text, so a model written by :func:`export_model` reads back in
+    ascending index order.  The result has no variable map, so it can be
+    evaluated and solved but not decoded into routes.
+    """
+    first, _, body = text.partition("\n")
+    head_no, head, lines = 1, first.split(), None
+    if not head or first.splitlines() != [first]:  # the header is not all of line 1
+        lines = enumerate(text.splitlines(), start=1)
+        head_no, head = next(((no, ln.split()) for no, ln in lines if ln.split()), (1, []))
+    if not head or not head[0].startswith("QUBO"):
+        raise ValueError("model text must start with a 'QUBO' header line")
+    if len(head) != 4:
+        raise ValueError("the header is 'QUBO <num_vars> <offset> <penalty>'")
+    num_vars = _parse_int(head[1], head_no, "num_vars")
+    if num_vars < 1:
+        raise ValueError("num_vars must be positive")
+    offset = _parse_number(head[2], head_no)
+    penalty = _parse_number(head[3], head_no)
+    if not penalty > 0:
+        raise ValueError(f"model line {head_no}: penalty must be positive")
+    if lines is None:
+        terms = _canonical_terms(body, num_vars) or _parse_lines(enumerate(body.splitlines(), start=2), num_vars)
+    else:
+        terms = _parse_lines(lines, num_vars)
+    return QuboModel(num_vars, *terms, offset, penalty)

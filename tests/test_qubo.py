@@ -27,6 +27,7 @@ from qcvrp import (
     parse_instance,
     parse_model,
 )
+from qcvrp.instances import max_edge_weight, weight_matrix
 from qcvrp.qubo import (
     CAPACITY,
     DEPOT_DEPARTURE,
@@ -35,6 +36,7 @@ from qcvrp.qubo import (
     SUBTOUR,
     VISIT_COUNT,
     VarIndex,
+    _canonical_terms,
 )
 from routing_oracle import best_routes_cost
 from test_acceptance import small_family
@@ -60,8 +62,12 @@ class TestVariableMap:
         vmap = VariableMap(nodes=3, vehicles=2, capacity=4)
         assert vmap.num_route_vars == 2 * 3 * 2
         assert vmap.num_vars == 12 + 8
-        assert [r.start for r in vmap.slack_registers] == [12, 16]
-        assert all(r.length == 4 for r in vmap.slack_registers)
+        assert [vmap.describe(s) for s in (12, 15, 16, 19)] == [
+            "slack[v0, 0]",
+            "slack[v0, 3]",
+            "slack[v1, 0]",
+            "slack[v1, 3]",
+        ]
 
     def test_route_index_is_a_bijection(self):
         vmap = VariableMap(nodes=4, vehicles=3, capacity=2)
@@ -152,6 +158,101 @@ class TestBuildQubo:
     def test_penalty_validation(self, triangle, bad):
         with pytest.raises(ValueError):
             build_qubo(triangle, bad)
+
+
+def closure_build(inst: CvrpInstance, penalty=AUTO, forbid_two_cycles: bool = True) -> QuboModel:
+    """The term-by-term builder that ``build_qubo`` replaced, kept as its reference."""
+    if penalty == AUTO:
+        scale = 2 * inst.dimension * max(1, max_edge_weight(inst))
+    else:
+        scale = penalty
+    nodes, k, cap = inst.dimension, inst.vehicles, inst.capacity
+    vmap = VariableMap(nodes, k, cap)
+    weights = weight_matrix(inst)
+    linear, quadratic = {}, {}
+    offset = 0
+
+    def add_linear(a, coeff):
+        linear[a] = linear.get(a, 0) + coeff
+
+    def add_quadratic(a, b, coeff):
+        key = (a, b) if a < b else (b, a)
+        quadratic[key] = quadratic.get(key, 0) + coeff
+
+    def add_square(terms, constant):
+        nonlocal offset
+        offset += scale * constant * constant
+        for pos, (a, ca) in enumerate(terms):
+            add_linear(a, scale * (ca * ca + 2 * constant * ca))
+            for b, cb in terms[pos + 1 :]:
+                add_quadratic(a, b, 2 * scale * ca * cb)
+
+    def arc(v, i, j):
+        return vmap.route_index(VarIndex(i=i, j=j, v=v))
+
+    for v in range(k):
+        for i in range(nodes):
+            for j in range(nodes):
+                if i != j and weights[i, j]:
+                    add_linear(arc(v, i, j), int(weights[i, j]))
+    for i in range(1, nodes):
+        add_square([(arc(v, i, j), 1) for v in range(k) for j in range(nodes) if j != i], -1)
+    for v in range(k):
+        add_square([(arc(v, 0, j), 1) for j in range(1, nodes)], -1)
+        add_square([(arc(v, i, 0), 1) for i in range(1, nodes)], -1)
+        for i in range(1, nodes):
+            balance = [(arc(v, i, j), 1) for j in range(nodes) if j != i]
+            balance += [(arc(v, j, i), -1) for j in range(nodes) if j != i]
+            add_square(balance, 0)
+        load = [
+            (arc(v, i, j), inst.demands[i])
+            for i in range(1, nodes)
+            for j in range(nodes)
+            if j != i and inst.demands[i]
+        ]
+        load += [(vmap.num_route_vars + v * cap + t, 1) for t in range(cap)]
+        add_square(load, -cap)
+    if forbid_two_cycles:
+        for v in range(k):
+            for i in range(1, nodes):
+                for j in range(i + 1, nodes):
+                    add_quadratic(arc(v, i, j), arc(v, j, i), scale)
+    linear = {a: c for a, c in linear.items() if c != 0}
+    quadratic = {ab: c for ab, c in quadratic.items() if c != 0}
+    return QuboModel(vmap.num_vars, linear, quadratic, offset, scale, vmap)
+
+
+@st.composite
+def small_instances(draw) -> CvrpInstance:
+    """EUC_2D or EXPLICIT instances up to 6 nodes, 3 vehicles and capacity 8;
+    coordinates may sit near the 2**61 bound, weights near 2**62."""
+    nodes = draw(st.integers(2, 6))
+    cap = draw(st.integers(1, 8))
+    demands = (0, *draw(st.lists(st.integers(0, cap), min_size=nodes - 1, max_size=nodes - 1)))
+    common = dict(name="h", dimension=nodes, capacity=cap, vehicles=draw(st.integers(1, 3)), demands=demands)
+    reach = draw(st.sampled_from([20, 2**61]))
+    if draw(st.booleans()):
+        point = st.tuples(st.integers(-reach, reach), st.integers(-reach, reach))
+        coords = draw(st.lists(point, min_size=nodes, max_size=nodes))
+        return CvrpInstance(weight_kind=WeightKind.EUC_2D, coords=coords, **common)
+    row = st.lists(st.integers(0, 2 * reach), min_size=nodes, max_size=nodes)
+    matrix = draw(st.lists(row, min_size=nodes, max_size=nodes))
+    return CvrpInstance(weight_kind=WeightKind.EXPLICIT, explicit_weights=matrix, **common)
+
+
+class TestBuilderEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(small_instances(), st.sampled_from([AUTO, 7, 2.5, 0.1]), st.booleans())
+    def test_matches_the_closure_builder(self, inst, penalty, forbid):
+        model = build_qubo(inst, penalty, forbid_two_cycles=forbid)
+        reference = closure_build(inst, penalty, forbid)
+        assert model.num_vars == reference.num_vars
+        for got, want in ((model.linear, reference.linear), (model.quadratic, reference.quadratic)):
+            assert got == want
+            assert {key: type(c) for key, c in got.items()} == {key: type(c) for key, c in want.items()}
+            assert list(got) == sorted(got)
+        assert model.offset == reference.offset and type(model.offset) is type(reference.offset)
+        assert export_model(model) == export_model(reference)
 
 
 class TestEnergy:
@@ -336,10 +437,12 @@ class TestSolverKernel:
         ],
     )
     def test_indices_outside_the_model_are_rejected(self, linear, quadratic, message):
-        # numpy would read index -1 as the last variable
+        # numpy, or a list, would read index -1 as the last variable
         model = QuboModel(num_vars=2, linear=linear, quadratic=quadratic, offset=0, penalty=1)
         with pytest.raises(ValueError, match=message):
             brute_force_solve(model)
+        with pytest.raises(ValueError, match=message):
+            energy(model, "01")
 
 
 class TestTwoCycleRule:
@@ -501,6 +604,86 @@ class TestModelText:
     def test_float_coefficients_survive(self):
         model = parse_model("QUBO 2 0.5 2.25\nL 0 -1.5\nQ 0 1 0.125\n")
         assert energy(model, "11") == 0.5 - 1.5 + 0.125
+
+
+coefficients = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(-50, 50),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def text_models(draw, values=coefficients) -> QuboModel:
+    m = draw(st.integers(1, 12))
+    index = st.integers(0, m - 1)
+    linear = draw(st.dictionaries(index, values, max_size=m))
+    pairs = st.tuples(index, index).filter(lambda ab: ab[0] < ab[1])
+    quadratic = draw(st.dictionaries(pairs, values, max_size=20)) if m > 1 else {}
+    offset = draw(st.one_of(st.integers(-(2**70), 2**70), st.floats(-1e9, 1e9)))
+    penalty = draw(st.one_of(st.integers(1, 2**70), st.floats(0.001, 1e9)))
+    return QuboModel(m, linear, quadratic, offset, penalty)
+
+
+def as_list(terms: dict) -> list:
+    return [(key, c, type(c)) for key, c in terms.items()]
+
+
+class TestModelTextProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(text_models())
+    def test_round_trip(self, model):
+        back = parse_model(export_model(model))
+        assert back.linear == {a: c for a, c in model.linear.items() if c != 0}
+        assert back.quadratic == {ab: c for ab, c in model.quadratic.items() if c != 0}
+        assert (back.num_vars, back.offset, back.penalty) == (model.num_vars, model.offset, model.penalty)
+        assert list(back.linear) == sorted(back.linear)
+        assert list(back.quadratic) == sorted(back.quadratic)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text_models(values=st.integers(-(10**15) + 1, 10**15 - 1)), st.data())
+    def test_perturbed_text_reads_alike(self, model, data):
+        text = export_model(model)
+        head, *lines = text.splitlines()
+        assert _canonical_terms(text.partition("\n")[2], model.num_vars) is not None
+        if not lines:
+            return
+        pos = data.draw(st.integers(0, len(lines) - 1))
+        kind, *tokens = lines[pos].split()
+        how = data.draw(st.sampled_from(["blank", "tab", "l-after-q", "repeat", "16 digits"]))
+        if how == "blank":
+            lines.insert(pos, "")
+        elif how == "tab":
+            lines[pos] = lines[pos].replace(" ", "\t", 1)
+        elif how == "l-after-q":  # the last L line, so the order of the terms holds
+            n_lin = sum(line.startswith("L") for line in lines)
+            if not 0 < n_lin < len(lines):
+                return
+            lines.append(lines.pop(n_lin - 1))
+        elif how == "repeat":
+            coeff = int(tokens[-1])
+            lines[pos : pos + 1] = [" ".join([kind, *tokens[:-1], str(part)]) for part in (coeff - 1, 1)]
+        else:
+            sign, digits = tokens[-1][:-1].rstrip("0123456789"), tokens[-1].lstrip("-")
+            lines[pos] = " ".join([kind, *tokens[:-1], sign + digits.zfill(16)])
+        perturbed = "\n".join([head, *lines]) + "\n"
+        assert _canonical_terms(perturbed.partition("\n")[2], model.num_vars) is None
+        fast, slow = parse_model(text), parse_model(perturbed)
+        assert as_list(slow.linear) == as_list(fast.linear)
+        assert as_list(slow.quadratic) == as_list(fast.quadratic)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(alphabet="LQ0123456789- \n\t\r\x0c").map(lambda body: "QUBO 4 0 1\n" + body),
+        )
+    )
+    def test_any_text_parses_or_raises_value_error(self, text):
+        try:
+            parse_model(text)
+        except ValueError:
+            pass
 
 
 def test_energy_values_are_integers_for_integer_instances(triangle):
