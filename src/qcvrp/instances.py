@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -164,6 +162,7 @@ def edge_weight(inst: CvrpInstance, i: int, j: int) -> int:
 
 def weight_matrix(inst: CvrpInstance) -> np.ndarray:
     """Full integer distance matrix with a zero diagonal."""
+    import numpy as np
     if inst.weight_kind is WeightKind.EUC_2D:
         assert inst.coords is not None
         pts = np.asarray(inst.coords, dtype=np.float64)
@@ -192,6 +191,7 @@ def max_edge_weight(inst: CvrpInstance) -> int:
     gives the same integer because the square root and the rounding are
     monotone; explicit instances skip the diagonal, as the matrix does.
     """
+    import numpy as np
     if inst.weight_kind is WeightKind.EXPLICIT:
         assert inst.explicit_weights is not None
         return max(max(row[:i] + row[i + 1 :]) for i, row in enumerate(inst.explicit_weights))

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterator, Union
 
-import numpy as np
-
 from .errors import LengthMismatch, TooLarge
 from .instances import CvrpInstance, edge_weight, max_edge_weight, weight_matrix
 
@@ -136,11 +134,12 @@ def build_qubo(
 
     Variable count is ``vehicles * dimension * (dimension - 1)`` route bits
     plus ``vehicles * capacity`` slack bits.  ``penalty`` is a positive
-    number or ``"auto"``, which picks twice the node count times the longest
-    edge.  ``forbid_two_cycles`` keeps the isolated-pair penalty on; it only
-    exists so tests can study the plain degree-constraint model.  Terms are
-    listed in ascending index order.
+    number, finite if a float, or ``"auto"``, which picks twice the node
+    count times the longest edge.  ``forbid_two_cycles`` keeps the
+    isolated-pair penalty on; it only exists so tests can study the plain
+    degree-constraint model.  Terms are listed in ascending index order.
     """
+    import numpy as np
     if penalty == AUTO:
         scale: Number = _auto_penalty(inst)
     else:
@@ -148,6 +147,8 @@ def build_qubo(
             raise ValueError(f"penalty must be a number or 'auto', got {penalty!r}")
         if not penalty > 0:
             raise ValueError("penalty must be positive")
+        if isinstance(penalty, float) and not math.isfinite(penalty):
+            raise ValueError("penalty must be finite")
         scale = penalty
 
     nodes = inst.dimension
@@ -217,6 +218,7 @@ def _accumulate(keys: list[np.ndarray], values: list[np.ndarray]) -> tuple[np.nd
     ``np.add.at`` adds them in that order, so float sums follow the order
     of their terms.
     """
+    import numpy as np
     keys = np.concatenate(keys)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -242,6 +244,7 @@ def _term_dicts(
     share one int object per variable, which keeps the dicts, the largest
     part of a model, small.
     """
+    import numpy as np
     size = max(len(row_sizes), lin_at.max(initial=-1) + 1, columns.max(initial=-1) + 1)
     names = np.arange(size).astype(object)
     linear = dict(zip(names[lin_at], lin_sum.tolist()))
@@ -296,6 +299,7 @@ def _dense(model: QuboModel) -> tuple[np.ndarray, np.ndarray]:
     Indices outside ``0..num_vars-1`` raise ``ValueError``; numpy would let
     a negative one alias a variable from the end.
     """
+    import numpy as np
     m = model.num_vars
     lin = np.zeros(m)
     quad = np.zeros((m, m))
@@ -322,6 +326,7 @@ def _interchangeable(lin: np.ndarray, quad: np.ndarray) -> np.ndarray:
     leaves every energy unchanged.  The relation is an equivalence, and it
     forces one common coupling inside each group.
     """
+    import numpy as np
     owner = np.full(len(lin), -1)
     for i in range(len(lin)):
         if owner[i] < 0:
@@ -338,6 +343,7 @@ def _enumerated_prefix(owner: np.ndarray, quad: np.ndarray) -> int:
     Those trailing groups are minimized over their count of set bits; the
     bits before them are enumerated, so lexicographic order is preserved.
     """
+    import numpy as np
     n = len(owner)
     for s in range(n - 1, -1, -1):
         tail = owner[s:]
@@ -350,6 +356,7 @@ def _enumerated_prefix(owner: np.ndarray, quad: np.ndarray) -> int:
 
 
 def _bits_of(indices: np.ndarray, width: int) -> np.ndarray:
+    import numpy as np
     shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
     return ((indices[:, None] >> shifts[None, :]) & 1).astype(np.float64)
 
@@ -373,6 +380,7 @@ def brute_force_solve(
     ``ValueError`` on an index outside the model or a non-finite
     coefficient.
     """
+    import numpy as np
     m = model.num_vars
     if m < 1:
         raise ValueError("the model has no variables")
@@ -646,6 +654,7 @@ def _canonical_values(body: str) -> tuple[np.ndarray, int] | None:
     three integers of at most ``_FAST_DIGITS`` digits, joined by single
     spaces and ended by ``\\n``.
     """
+    import numpy as np
     if not body.isascii() or not body.endswith("\n"):
         return None
     raw = body.encode()
@@ -685,6 +694,7 @@ def _canonical_terms(body: str, num_vars: int) -> tuple[dict, dict] | None:
     for integer models, with keys strictly ascending; None for any other
     text, which the line parser then reads.
     """
+    import numpy as np
     if not body:
         return {}, {}
     found = _canonical_values(body)

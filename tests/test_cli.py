@@ -292,6 +292,17 @@ class TestQuboAndSolve:
         assert code == 1
         assert "penalty must be a number or 'auto'" in err
 
+    @pytest.mark.parametrize("command", ["qubo", "solve"])
+    @pytest.mark.parametrize("token", ["inf", "1e400", str(10**400)], ids=["inf", "1e400", "10**400"])
+    def test_non_finite_penalty_refused(self, capsys, triangle_file, tmp_path, command, token):
+        # the CLI reads a penalty as a float, so 10**400 written out is inf too
+        argv = [command, triangle_file, "--penalty", token]
+        out_path = tmp_path / "model.txt"
+        if command == "qubo":
+            argv += ["--out", str(out_path)]
+        assert run_cli(capsys, *argv) == (1, "", "error: penalty must be finite\n")
+        assert not out_path.exists()
+
     def test_solve_respects_variable_ceiling(self, capsys, triangle_file):
         code, _, err = run_cli(capsys, "solve", triangle_file, "--max-vars", "4")
         assert code == 1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import vrp_text
 from qcvrp import (
+    CvrpError,
     CvrpInstance,
     DimensionMismatch,
     IndexOutOfRange,
@@ -506,3 +507,47 @@ TRIANGLE_LINES = [
     " -1",
     "EOF",
 ]
+
+# Replacement tokens for the fuzz below: numbers just inside and outside
+# what the parser takes, non-finite and non-numeric words, and keywords.
+FUZZ_TOKENS = st.sampled_from(
+    ["0", "1", "-1", "2.5", "1e400", "nan", "inf", "-inf", "9" * 30, "0x10", "x", ":", "",
+     "EOF", "NAME", "DIMENSION", "CAPACITY", "VEHICLES", "EDGE_WEIGHT_TYPE", "EUC_2D",
+     "EXPLICIT", "FULL_MATRIX", "NODE_COORD_SECTION", "EDGE_WEIGHT_SECTION", "DEMAND_SECTION",
+     "DEPOT_SECTION"]
+)
+
+
+@st.composite
+def mutated_instance_text(draw) -> str:
+    """A valid EUC_2D or EXPLICIT instance with a few lines or tokens changed."""
+    lines = list(draw(st.sampled_from([TRIANGLE_LINES, EXPLICIT_TEXT.splitlines()])))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(lines)))
+        how = draw(st.sampled_from(["drop", "repeat", "swap", "insert", "token", "text"]))
+        if how == "insert" or pos == len(lines):
+            lines.insert(pos, " ".join(draw(st.lists(FUZZ_TOKENS, max_size=4))))
+        elif how == "drop":
+            del lines[pos]
+        elif how == "repeat":
+            lines.insert(pos, lines[pos])
+        elif how == "swap":
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[pos], lines[other] = lines[other], lines[pos]
+        else:
+            tokens = lines[pos].split() or [""]
+            at = draw(st.integers(0, len(tokens) - 1))
+            tokens[at] = draw(FUZZ_TOKENS if how == "token" else st.text(max_size=6))
+            lines[pos] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_instance_text())
+def test_mutated_text_parses_or_raises_cvrp_or_value_error(text):
+    # anything else, such as a TypeError or a numpy error, is a parser bug
+    try:
+        inst = parse_instance(text)
+    except (CvrpError, ValueError):
+        return
+    assert parse_instance(serialize_instance(inst)) == inst

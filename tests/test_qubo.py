@@ -159,6 +159,17 @@ class TestBuildQubo:
         with pytest.raises(ValueError):
             build_qubo(triangle, bad)
 
+    @pytest.mark.parametrize("bad", [math.inf, 1e400], ids=["inf", "1e400"])
+    def test_non_finite_float_penalty_refused(self, triangle, bad):
+        with pytest.raises(ValueError, match="penalty must be finite"):
+            build_qubo(triangle, bad)
+
+    def test_int_penalty_of_any_size_accepted(self, triangle):
+        model = build_qubo(triangle, 10**400)
+        assert model.penalty == 10**400
+        back = parse_model(export_model(model))
+        assert (back.linear, back.quadratic, back.offset) == (model.linear, model.quadratic, model.offset)
+
 
 def closure_build(inst: CvrpInstance, penalty=AUTO, forbid_two_cycles: bool = True) -> QuboModel:
     """The term-by-term builder that ``build_qubo`` replaced, kept as its reference."""
