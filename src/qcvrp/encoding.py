@@ -235,7 +235,9 @@ def estimate_resources(
     if encoding is EncodingKind.QUBO:
         qubits = qubo_qubits(customers, vehicles, capacity, convention)
     else:
-        qubits = nint(float(hobo_qubits(customers, vehicles, capacity, log_mode)))
+        hobo = hobo_qubits(customers, vehicles, capacity, log_mode)
+        # Only REAL is fractional; FLOOR and CEIL counts stay exact ints.
+        qubits = nint(hobo) if isinstance(hobo, float) else hobo
     depth = depth_estimate(qubits, layers)
     volume = quantum_volume(qubits, depth)
     return ResourceEstimate(

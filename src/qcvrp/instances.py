@@ -142,9 +142,9 @@ class CvrpInstance:
 def edge_weight(inst: CvrpInstance, i: int, j: int) -> int:
     """Integer travel cost from node ``i`` to node ``j``.
 
-    Euclidean instances round to the nearest integer (halves up); explicit
-    instances return the stored matrix entry.  ``edge_weight(inst, i, i)``
-    is 0 by definition.
+    Euclidean instances round ``sqrt(dx*dx + dy*dy)`` half up, by the same
+    float steps as :func:`weight_matrix`; explicit instances return the
+    stored matrix entry.  ``edge_weight(inst, i, i)`` is 0 by definition.
     """
     dim = inst.dimension
     if not (0 <= i < dim and 0 <= j < dim):
@@ -155,7 +155,8 @@ def edge_weight(inst: CvrpInstance, i: int, j: int) -> int:
         assert inst.coords is not None
         xi, yi = inst.coords[i]
         xj, yj = inst.coords[j]
-        return nint(math.hypot(xi - xj, yi - yj))
+        dx, dy = xi - xj, yi - yj
+        return nint(math.sqrt(dx * dx + dy * dy))
     assert inst.explicit_weights is not None
     return inst.explicit_weights[i][j]
 
@@ -191,10 +192,10 @@ def max_edge_weight(inst: CvrpInstance) -> int:
     gives the same integer because the square root and the rounding are
     monotone; explicit instances skip the diagonal, as the matrix does.
     """
-    import numpy as np
     if inst.weight_kind is WeightKind.EXPLICIT:
         assert inst.explicit_weights is not None
         return max(max(row[:i] + row[i + 1 :]) for i, row in enumerate(inst.explicit_weights))
+    import numpy as np
     assert inst.coords is not None
     x, y = np.asarray(inst.coords, dtype=np.float64).T
     n = len(x)
@@ -211,8 +212,7 @@ def max_edge_weight(inst: CvrpInstance) -> int:
         dx += dy
         best = max(best, float(dx.max()))
         start = stop
-    # The same float operations as weight_matrix, applied to one value.
-    return int(np.floor(np.sqrt(best) + 0.5).astype(np.int64))
+    return nint(math.sqrt(best))
 
 
 _KEYWORD_LINE = re.compile(r"^([A-Z][A-Z0-9_]*)\s*:\s*(.*)$")
@@ -238,6 +238,20 @@ def _parse_float(token: str, lineno: int, what: str) -> float:
         raise MalformedLine(lineno, f"{what} must be a number, got {token!r}") from None
 
 
+def _place_rows(rows: list[tuple[int, object, int]], dimension: int, what: str) -> list:
+    """Values of 1-based ``(index, value, line)`` rows, listed by node."""
+    if len(rows) != dimension:
+        raise DimensionMismatch(f"expected {dimension} {what} rows, found {len(rows)}")
+    slots: list[object] = [None] * dimension
+    for idx, value, lineno in rows:
+        if not (1 <= idx <= dimension):
+            raise MalformedLine(lineno, f"node index {idx} outside 1..{dimension}")
+        if slots[idx - 1] is not None:
+            raise MalformedLine(lineno, f"duplicate {what} row for node {idx}")
+        slots[idx - 1] = value
+    return slots  # full: as many rows as nodes, each node placed once
+
+
 def parse_instance(text: str) -> CvrpInstance:
     """Parse instance text in the TSPLIB dialect.
 
@@ -248,7 +262,7 @@ def parse_instance(text: str) -> CvrpInstance:
     demand total.  Nodes come out 0-based with the depot moved to node 0.
     """
     headers: dict[str, tuple[str, int]] = {}
-    coord_rows: list[tuple[int, float, float, int]] = []
+    coord_rows: list[tuple[int, tuple[float, float], int]] = []
     demand_rows: list[tuple[int, int, int]] = []
     depot_entries: list[tuple[int, int]] = []
     weight_tokens: list[int] = []
@@ -284,8 +298,10 @@ def parse_instance(text: str) -> CvrpInstance:
             coord_rows.append(
                 (
                     _parse_int(tokens[0], lineno, "node index"),
-                    _parse_float(tokens[1], lineno, "x coordinate"),
-                    _parse_float(tokens[2], lineno, "y coordinate"),
+                    (
+                        _parse_float(tokens[1], lineno, "x coordinate"),
+                        _parse_float(tokens[2], lineno, "y coordinate"),
+                    ),
                     lineno,
                 )
             )
@@ -346,33 +362,8 @@ def parse_instance(text: str) -> CvrpInstance:
     if weight_kind is WeightKind.EXPLICIT and not weight_tokens:
         raise MissingSection("EDGE_WEIGHT_SECTION")
 
-    coords = None
-    if coord_rows:
-        if len(coord_rows) != dimension:
-            raise DimensionMismatch(
-                f"expected {dimension} coordinate rows, found {len(coord_rows)}"
-            )
-        slots: list[tuple[float, float] | None] = [None] * dimension
-        for idx, x, y, lineno in coord_rows:
-            if not (1 <= idx <= dimension):
-                raise MalformedLine(lineno, f"node index {idx} outside 1..{dimension}")
-            if slots[idx - 1] is not None:
-                raise MalformedLine(lineno, f"duplicate coordinate row for node {idx}")
-            slots[idx - 1] = (x, y)
-        coords = tuple(slot for slot in slots if slot is not None)
-
-    if len(demand_rows) != dimension:
-        raise DimensionMismatch(
-            f"expected {dimension} demand rows, found {len(demand_rows)}"
-        )
-    demand_slots: list[int | None] = [None] * dimension
-    for idx, q, lineno in demand_rows:
-        if not (1 <= idx <= dimension):
-            raise MalformedLine(lineno, f"node index {idx} outside 1..{dimension}")
-        if demand_slots[idx - 1] is not None:
-            raise MalformedLine(lineno, f"duplicate demand row for node {idx}")
-        demand_slots[idx - 1] = q
-    demands = [q for q in demand_slots if q is not None]
+    coords = _place_rows(coord_rows, dimension, "coordinate") if coord_rows else None
+    demands = _place_rows(demand_rows, dimension, "demand")
 
     matrix: list[list[int]] | None = None
     if weight_tokens:
@@ -392,16 +383,10 @@ def parse_instance(text: str) -> CvrpInstance:
             depot_entries[0][1], f"depot index {depot + 1} outside 1..{dimension}"
         )
     if depot != 0:
-        # Normalize by swapping the depot with node 0 everywhere.
-        if coords is not None:
-            swapped = list(coords)
-            swapped[0], swapped[depot] = swapped[depot], swapped[0]
-            coords = tuple(swapped)
-        demands[0], demands[depot] = demands[depot], demands[0]
-        if matrix is not None:
-            for row in matrix:
-                row[0], row[depot] = row[depot], row[0]
-            matrix[0], matrix[depot] = matrix[depot], matrix[0]
+        # Normalize by swapping the depot with node 0 in every node-indexed list.
+        for nodes in (demands, coords, matrix, *(matrix or ())):
+            if nodes is not None:
+                nodes[0], nodes[depot] = nodes[depot], nodes[0]
 
     if "VEHICLES" in headers:
         vehicles = _parse_int(*headers["VEHICLES"], "VEHICLES")
@@ -413,10 +398,10 @@ def parse_instance(text: str) -> CvrpInstance:
         dimension=dimension,
         capacity=capacity,
         vehicles=vehicles,
-        demands=tuple(demands),
+        demands=demands,
         weight_kind=weight_kind,
         coords=coords,
-        explicit_weights=tuple(tuple(row) for row in matrix) if matrix else None,
+        explicit_weights=matrix,
     )
 
 

@@ -761,7 +761,7 @@ def parse_model(text: str) -> QuboModel:
     if not head or first.splitlines() != [first]:  # the header is not all of line 1
         lines = enumerate(text.splitlines(), start=1)
         head_no, head = next(((no, ln.split()) for no, ln in lines if ln.split()), (1, []))
-    if not head or not head[0].startswith("QUBO"):
+    if not head or head[0] != "QUBO":
         raise ValueError("model text must start with a 'QUBO' header line")
     if len(head) != 4:
         raise ValueError("the header is 'QUBO <num_vars> <offset> <penalty>'")

@@ -303,6 +303,13 @@ class TestQuboAndSolve:
         assert run_cli(capsys, *argv) == (1, "", "error: penalty must be finite\n")
         assert not out_path.exists()
 
+    def test_solve_refuses_a_header_word_other_than_qubo(self, capsys, tmp_path):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text("QUBOX 2 0 1\nL 0 1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", str(model_path))
+        assert (code, out) == (1, "")
+        assert "must start with a 'QUBO' header line" in err
+
     def test_solve_respects_variable_ceiling(self, capsys, triangle_file):
         code, _, err = run_cli(capsys, "solve", triangle_file, "--max-vars", "4")
         assert code == 1

@@ -30,6 +30,7 @@ from qcvrp import (
     quantum_volume,
     qubo_qubits,
 )
+from qcvrp.encoding import estimate_resources
 from qcvrp.instances import max_edge_weight
 
 sizes = st.integers(min_value=1, max_value=2000)
@@ -184,6 +185,16 @@ class TestResourceEstimate:
         est = estimate_instance(inst, EncodingKind.HOBO)
         n, k, cap = inst.customers, inst.vehicles, inst.capacity
         assert est.qubits == hobo_qubits(n, k, cap, LogMode.FLOOR)
+
+    @pytest.mark.parametrize("mode", [LogMode.FLOOR, LogMode.CEIL])
+    def test_integer_hobo_counts_stay_exact_beyond_float(self, mode):
+        # 3 * (2**60 * 60 + 3) is odd and above 2**53, so a float loses it
+        qubits = hobo_qubits(2**60, 3, 7, mode)
+        assert qubits == 207525870829232455689
+        est = estimate_resources(2**60, 3, 7, 1, EncodingKind.HOBO, log_mode=mode)
+        assert est.qubits == qubits
+        assert est.depth == depth_estimate(qubits)
+        assert est.quantum_volume == qubits * depth_estimate(qubits)
 
     def test_single_customer_needs_one_hobo_qubit(self):
         text = vrp_text("unit", [(0.0, 0.0), (3.0, 4.0)], [0, 1], capacity=1)

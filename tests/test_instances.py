@@ -121,10 +121,11 @@ FINITE = {"allow_nan": False, "allow_infinity": False}
 # Points on the x axis at half-integer positions put distances exactly on
 # the .5 rounding boundary; wide floats stay below 1e15 so every distance
 # fits the matrix's int64.
+WIDE = st.floats(-1e15, 1e15, **FINITE)
 POINTS = st.one_of(
     st.tuples(st.integers(-1000, 1000).map(float), st.integers(-1000, 1000).map(float)),
     st.tuples(st.integers(-2000, 2000).map(lambda v: v / 2), st.just(0.0)),
-    st.tuples(st.floats(-1e15, 1e15, **FINITE), st.floats(-1e15, 1e15, **FINITE)),
+    st.tuples(WIDE, WIDE),
 )
 
 
@@ -188,6 +189,19 @@ class TestLongestEdge:
         assert peak < 16 * 2**20
 
 
+class TestOneEuclideanRule:
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(st.tuples(WIDE, WIDE), min_size=2, max_size=8))
+    def test_pairwise_matrix_and_longest_edge_agree(self, points):
+        # wide coordinates are where a different float formula (hypot)
+        # lands on the other side of a rounding boundary
+        inst = euclidean(points)
+        mat = weight_matrix(inst)
+        n = len(points)
+        assert [[edge_weight(inst, i, j) for j in range(n)] for i in range(n)] == mat.tolist()
+        assert max_edge_weight(inst) == mat.max()
+
+
 class TestDepotNormalization:
     def test_depot_moved_to_node_zero(self):
         text = vrp_text("depot-late", [(5, 5), (0, 0), (9, 9)], [2, 0, 3], 9)
@@ -208,6 +222,22 @@ class TestDepotNormalization:
         assert edge_weight(inst, 0, 1) == 7
         assert edge_weight(inst, 0, 2) == 4
         assert edge_weight(inst, 1, 2) == 2
+
+    def test_depot_swap_permutes_asymmetric_rows_and_columns(self):
+        # disk weight w(a, b) = 10a + b, so every entry names its disk pair
+        text = "\n".join([
+            "NAME : late-depot", "DIMENSION : 4", "CAPACITY : 9", "EDGE_WEIGHT_TYPE : EXPLICIT",
+            "EDGE_WEIGHT_SECTION",
+            *(" ".join(str(0 if a == b else 10 * a + b) for b in range(1, 5)) for a in range(1, 5)),
+            "DEMAND_SECTION", "1 1", "2 2", "3 0", "4 4",
+            "DEPOT_SECTION", "3", "-1", "EOF",
+        ])
+        inst = parse_instance(text)
+        disk = [3, 2, 1, 4]  # the disk node now at each 0-based position
+        assert inst.demands == (0, 2, 1, 4)
+        assert inst.explicit_weights == tuple(
+            tuple(0 if a == b else 10 * a + b for b in disk) for a in disk
+        )
 
     def test_two_depots_rejected(self, triangle_text):
         text = triangle_text.replace("DEPOT_SECTION\n 1\n -1", "DEPOT_SECTION\n1\n2\n-1")

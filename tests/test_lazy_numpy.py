@@ -1,9 +1,10 @@
 """numpy stays off the import path.
 
 ``import qcvrp`` and the subcommands that do no numeric work (``table``,
-``gaps``, ``diagram``, ``value``, ``parse``, ``--help``) must not load
-numpy, which is most of their start-up time.  Each check runs in a fresh
-interpreter, because this test process has numpy loaded already.
+``gaps``, ``diagram``, ``value``, ``parse``, ``--help``, and ``estimate`` and
+``classify`` of an EXPLICIT instance) must not load numpy, which is most of
+their start-up time.  Each check runs in a fresh interpreter, because this
+test process has numpy loaded already.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ def commands(tmp_path, triangle_text) -> list[list[str]]:
         ["value", "--km", "1000", "--delta", "0.1"],
         ["parse", str(euclidean)],
         ["parse", str(explicit)],
+        ["estimate", str(explicit)],
+        ["classify", str(explicit)],
         ["--help"],
     ]
 

@@ -341,6 +341,28 @@ class TestBruteForce:
         served = sorted(node for route in decoding.routes for node in route if node)
         assert served == [1, 2]
 
+    def test_energy_equals_route_cost_at_wide_coordinates(self):
+        # w(0, 1) = 2532970243386393 under sqrt(dx*dx + dy*dy); hypot gives
+        # ...392, so a second rounding rule would split energy from cost
+        inst = CvrpInstance(
+            name="wide",
+            dimension=3,
+            capacity=2,
+            vehicles=1,
+            demands=(0, 1, 1),
+            weight_kind=WeightKind.EUC_2D,
+            coords=(
+                (890541391107844.5, 802854915222967.2),
+                (-938820033932892.9, -949108278013078.4),
+                (0.0, 0.0),
+            ),
+        )
+        model = build_qubo(inst)
+        bits, best = brute_force_solve(model)
+        decoding = decode_routes(model, bits, inst)
+        assert decoding.violations == []
+        assert best == decoding.total_cost == 5066973234061196
+
     def test_size_cap(self, triangle):
         with pytest.raises(TooLarge):
             brute_force_solve(build_qubo(triangle), max_vars=5)
@@ -611,6 +633,10 @@ class TestModelText:
     def test_parse_errors(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_model(text)
+
+    def test_header_word_is_exactly_qubo(self):
+        with pytest.raises(ValueError, match="must start with a 'QUBO' header line"):
+            parse_model("QUBOX 2 0 1\n")
 
     def test_float_coefficients_survive(self):
         model = parse_model("QUBO 2 0.5 2.25\nL 0 -1.5\nQ 0 1 0.125\n")
