@@ -56,6 +56,41 @@ def infer_vehicle_count(name: str, demands: Sequence[int], capacity: int) -> int
     return max(1, -(-total // capacity))
 
 
+def _int_row(values: Sequence[object], what: str, *where: int) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ``what.format(*where, j)`` names entry ``j``.
+
+    A row of exact ints is kept as it is, and any other row goes through
+    ``int()``.  A number that is not finite or not whole raises
+    :class:`InvalidInstance` instead of being truncated.  Strings are
+    parsed by ``int()`` alone.
+    """
+    values = tuple(values)
+    types = set(map(type, values))
+    if types <= {int}:
+        return values
+    if str not in types:
+        try:
+            row = tuple(map(int, values))
+        except (ValueError, OverflowError):  # nan, inf
+            row = None
+        if row == values:
+            return row
+    # Strings, or an entry to refuse: go entry by entry to name it.
+    row = []
+    for j, value in enumerate(values):
+        if isinstance(value, str):
+            row.append(int(value))
+            continue
+        try:
+            whole = int(value)
+        except (ValueError, OverflowError):
+            whole = None
+        if whole is None or whole != value:
+            raise InvalidInstance(f"{what.format(*where, j)} must be an integer, got {value!r}")
+        row.append(whole)
+    return tuple(row)
+
+
 @dataclass(frozen=True)
 class CvrpInstance:
     """One capacitated vehicle-routing instance.
@@ -76,7 +111,7 @@ class CvrpInstance:
     depot: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "demands", tuple(int(q) for q in self.demands))
+        object.__setattr__(self, "demands", _int_row(self.demands, "demand of node {}"))
         if self.coords is not None:
             object.__setattr__(
                 self, "coords", tuple((float(x), float(y)) for x, y in self.coords)
@@ -91,7 +126,10 @@ class CvrpInstance:
             object.__setattr__(
                 self,
                 "explicit_weights",
-                tuple(tuple(map(int, row)) for row in self.explicit_weights),
+                tuple(
+                    _int_row(row, "edge weight of node pair ({}, {})", i)
+                    for i, row in enumerate(self.explicit_weights)
+                ),
             )
         if not isinstance(self.weight_kind, WeightKind):
             raise InvalidInstance(f"weight_kind must be a WeightKind, got {self.weight_kind!r}")
@@ -191,7 +229,17 @@ def max_edge_weight(inst: CvrpInstance) -> int:
     blocks of at most ``_BLOCK_PAIRS`` node pairs and round it once, which
     gives the same integer because the square root and the rounding are
     monotone; explicit instances skip the diagonal, as the matrix does.
+    The first call keeps the result on the instance, outside its fields,
+    and later calls read it back.
     """
+    longest = getattr(inst, "_max_edge_weight", None)
+    if longest is None:
+        longest = _scan_max_edge_weight(inst)
+        object.__setattr__(inst, "_max_edge_weight", longest)
+    return longest
+
+
+def _scan_max_edge_weight(inst: CvrpInstance) -> int:
     if inst.weight_kind is WeightKind.EXPLICIT:
         assert inst.explicit_weights is not None
         return max(max(row[:i] + row[i + 1 :]) for i, row in enumerate(inst.explicit_weights))

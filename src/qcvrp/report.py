@@ -143,16 +143,11 @@ def _render_columns(header: tuple[str, ...], rows: list[tuple[str, ...]], banner
         return f"# {banner}\n" + buf.getvalue()
     if fmt != TEXT:
         raise ValueError(f"unknown table format {fmt!r} (use 'text' or 'csv')")
-    widths = [len(h) for h in header]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    lines = [f"# {banner}"]
-    lines.append("  ".join(h.ljust(w) if i == 0 else h.rjust(w) for i, (h, w) in enumerate(zip(header, widths))))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(w) if i == 0 else cell.rjust(w) for i, (cell, w) in enumerate(zip(row, widths)))
-        )
+    widths = [max(map(len, col)) for col in zip(header, *rows)]
+    # The first column aligns left, the others right.
+    line = "  ".join(f"{{:{'<' if i == 0 else '>'}{w}}}" for i, w in enumerate(widths)).format
+    lines = [f"# {banner}", line(*header), "  ".join("-" * w for w in widths)]
+    lines.extend(line(*row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -249,6 +244,11 @@ def _star_points(cx: float, cy: float, outer: float, inner: float) -> str:
     return " ".join(pts)
 
 
+def _escape(text: str) -> str:
+    """``text`` safe inside SVG character data and double-quoted attributes."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+
+
 def _diagram_svg(points: list[DiagramPoint], profile: HardwareProfile) -> str:
     n_max, d_max = feasibility_point(profile)
     xs = [max(1.0, float(p.n)) for p in points] + [float(n_max)]
@@ -269,7 +269,7 @@ def _diagram_svg(points: list[DiagramPoint], profile: HardwareProfile) -> str:
         f'viewBox="0 0 {_SVG_W} {_SVG_H}" font-family="sans-serif">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="#ffffff"/>',
         f'<text x="{_ML}" y="24" font-size="15" fill="#111111">'
-        f"Hardware feasibility: {profile.name} (qubits &#8804; {n_max}, depth &#8804; {d_max})</text>",
+        f"Hardware feasibility: {_escape(profile.name)} (qubits &#8804; {n_max}, depth &#8804; {d_max})</text>",
     ]
     for exp in range(x_lo, x_hi + 1):
         x = px(10.0**exp)
@@ -305,10 +305,11 @@ def _diagram_svg(points: list[DiagramPoint], profile: HardwareProfile) -> str:
     for point in points:
         color = _FEASIBLE_COLOR if point.feasible else _INFEASIBLE_COLOR
         css = "feasible" if point.feasible else "infeasible"
+        label = _escape(point.label)
         parts.append(
-            f'<circle class="pt {css}" data-label="{point.label}" cx="{px(max(1.0, float(point.n))):.2f}" '
+            f'<circle class="pt {css}" data-label="{label}" cx="{px(max(1.0, float(point.n))):.2f}" '
             f'cy="{py(max(1.0, float(point.d))):.2f}" r="5" fill="{color}" fill-opacity="0.85">'
-            f"<title>{point.label}: N={point.n}, D={point.d}</title></circle>"
+            f"<title>{label}: N={point.n}, D={point.d}</title></circle>"
         )
     parts.append(
         f'<polygon points="{_star_points(x_line, y_line, 10.0, 4.2)}" fill="#111111">'

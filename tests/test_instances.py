@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -13,12 +15,15 @@ from qcvrp import (
     CvrpError,
     CvrpInstance,
     DimensionMismatch,
+    EncodingKind,
     IndexOutOfRange,
     InvalidInstance,
     MalformedLine,
     MissingSection,
     UnsupportedEdgeWeightType,
     WeightKind,
+    build_qubo,
+    estimate_instance,
     infer_vehicle_count,
     parse_instance,
     serialize_instance,
@@ -187,6 +192,43 @@ class TestLongestEdge:
             tracemalloc.stop()
         # the 3000 x 3000 matrix path peaks near 350 MB
         assert peak < 16 * 2**20
+
+
+class TestOneLongestEdgeScan:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Instances whose longest edge was scanned, one entry per scan."""
+        scanned = []
+        scan = instances._scan_max_edge_weight
+
+        def counting_scan(inst):
+            scanned.append(inst)
+            return scan(inst)
+
+        monkeypatch.setattr(instances, "_scan_max_edge_weight", counting_scan)
+        return scanned
+
+    @pytest.mark.parametrize("text_name", ["triangle_text", "explicit"])
+    def test_both_estimates_and_the_auto_penalty_share_one_scan(self, scans, text_name, request):
+        text = EXPLICIT_TEXT if text_name == "explicit" else request.getfixturevalue(text_name)
+        unscanned = parse_instance(text)
+        inst = parse_instance(text)
+        qubo = estimate_instance(inst, EncodingKind.QUBO)
+        hobo = estimate_instance(inst, EncodingKind.HOBO)
+        model = build_qubo(inst)
+        assert len(scans) == 1
+        assert qubo == estimate_instance(unscanned, EncodingKind.QUBO)
+        assert hobo == estimate_instance(unscanned, EncodingKind.HOBO)
+        assert model.penalty == build_qubo(unscanned).penalty
+        # the stored value stays outside the instance's identity
+        assert inst == unscanned
+        assert hash(inst) == hash(unscanned)
+        assert repr(inst) == repr(unscanned)
+        assert pickle.loads(pickle.dumps(inst)) == inst
+        # a copy made by replace starts without it and scans again
+        copy = dataclasses.replace(inst)
+        assert max_edge_weight(copy) == max_edge_weight(inst)
+        assert len(scans) == 3  # inst, unscanned, copy
 
 
 class TestOneEuclideanRule:
@@ -429,6 +471,16 @@ class TestInstanceValidation:
         inst = parse_instance(text)
         assert inst.capacity_violations == (1,)
 
+    @pytest.mark.parametrize("bad", [2.7, math.nan, math.inf, -math.inf])
+    def test_non_integral_edge_weight_refused(self, bad):
+        with pytest.raises(InvalidInstance, match=r"edge weight of node pair \(1, 0\) must be an integer"):
+            explicit([[0, 1], [bad, 0]])
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
+    def test_non_integral_demand_refused(self, bad):
+        with pytest.raises(InvalidInstance, match="demand of node 2 must be an integer"):
+            euclidean([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], capacity=5, demands=[0, 1, bad])
+
     def test_matrix_must_be_square(self):
         with pytest.raises(InvalidInstance, match="dimension x dimension"):
             CvrpInstance(
@@ -440,6 +492,65 @@ class TestInstanceValidation:
                 weight_kind=WeightKind.EXPLICIT,
                 explicit_weights=((0, 1, 2), (1, 0, 2)),
             )
+
+
+class TestIntNormalisation:
+    """Weights and demands given as anything ``int()`` takes exactly are
+    stored as tuples of plain ints."""
+
+    WEIGHTS = ((0, 1, 2), (1, 0, 3), (2, 3, 0))
+
+    @staticmethod
+    def build(rows, demands=(0, 1, 1)):
+        return CvrpInstance(
+            name="m",
+            dimension=3,
+            capacity=2,
+            vehicles=1,
+            demands=demands,
+            weight_kind=WeightKind.EXPLICIT,
+            explicit_weights=rows,
+        )
+
+    @pytest.mark.parametrize(
+        "form",
+        ["list rows", "tuple rows", "numpy int64", "numpy array", "bools", "digit strings", "whole floats"],
+    )
+    def test_every_form_stores_plain_int_tuples(self, form):
+        import numpy as np
+
+        rows = {
+            "list rows": [list(r) for r in self.WEIGHTS],
+            "tuple rows": self.WEIGHTS,
+            "numpy int64": [[np.int64(w) for w in r] for r in self.WEIGHTS],
+            "numpy array": np.array(self.WEIGHTS, dtype=np.int64),
+            "bools": [[False, True, 2], [True, False, 3], [2, 3, False]],
+            "digit strings": [[str(w) for w in r] for r in self.WEIGHTS],
+            "whole floats": [[float(w) for w in r] for r in self.WEIGHTS],
+        }[form]
+        inst = self.build(rows)
+        assert inst.explicit_weights == self.WEIGHTS
+        assert {type(r) for r in inst.explicit_weights} == {tuple}
+        assert {type(w) for r in inst.explicit_weights for w in r} == {int}
+
+    @pytest.mark.parametrize("form", ["list", "numpy int64", "bools", "digit strings", "whole floats"])
+    def test_demands_store_plain_ints(self, form):
+        import numpy as np
+
+        demands = {
+            "list": [0, 1, 1],
+            "numpy int64": np.array([0, 1, 1], dtype=np.int64),
+            "bools": (False, True, True),
+            "digit strings": ("0", "1", "1"),
+            "whole floats": (0.0, 1.0, 1.0),
+        }[form]
+        inst = self.build(self.WEIGHTS, demands)
+        assert inst.demands == (0, 1, 1)
+        assert {type(q) for q in inst.demands} == {int}
+
+    def test_int_rows_are_kept_not_rebuilt(self):
+        inst = self.build(self.WEIGHTS)
+        assert all(kept is given for kept, given in zip(inst.explicit_weights, self.WEIGHTS))
 
 
 class TestSerialization:

@@ -4,6 +4,8 @@ import csv
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchmark_data import GAP_ROWS, RESOURCE_ROWS
 from qcvrp import (
@@ -28,7 +30,7 @@ from qcvrp import (
     render_gap_table,
     render_resource_table,
 )
-from qcvrp.report import RESOURCE_COLUMNS
+from qcvrp.report import RESOURCE_COLUMNS, _render_columns
 
 GOLDEN_5 = InstanceParams("Golden_5", customers=200, vehicles=5, capacity=900)
 
@@ -317,6 +319,24 @@ class TestFeasibilityDiagram:
                 from_svg.add(line.split('data-label="')[1].split('"')[0])
         assert from_svg == from_csv
 
+    def test_markup_in_labels_and_profile_names_is_escaped(self):
+        from xml.dom import minidom
+
+        from qcvrp import HardwareProfile
+
+        label = 'a<b & "c" >d'
+        profile = HardwareProfile('dev<&>"x"', n_max=100, d_max=1000)
+        svg = feasibility_diagram(diagram_points([InstanceParams(label, 10, 2, 50)], profile), profile)
+        doc = minidom.parseString(svg)
+
+        def text_of(node):
+            return "".join(child.data for child in node.childNodes if child.nodeType == child.TEXT_NODE)
+
+        (circle,) = doc.getElementsByTagName("circle")
+        assert circle.getAttribute("data-label") == label
+        assert text_of(circle.getElementsByTagName("title")[0]).startswith(f"{label}: N=")
+        assert text_of(doc.getElementsByTagName("text")[0]).startswith(f"Hardware feasibility: {profile.name} (")
+
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             feasibility_diagram([], named_profile("current-best"))
@@ -333,3 +353,41 @@ class TestGapDenominatorThreading:
         sol = gap_records_from_csv(bundled_gap_csv(), GapDenominator.SOLUTION)
         for rec in sol:
             assert abs(rec.gap_percent - GAP_ROWS[rec.instance_name][2]) < 0.01
+
+
+def _render_columns_by_cell(header, rows, banner):
+    """The text layout as a per-cell ljust/rjust loop, frozen here as the
+    reference for the template-based renderer."""
+    widths = [len(h) for h in header]
+    for row in rows:
+        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
+    lines = [f"# {banner}"]
+    lines.append("  ".join(h.ljust(w) if i == 0 else h.rjust(w) for i, (h, w) in enumerate(zip(header, widths))))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in rows:
+        lines.append(
+            "  ".join(cell.ljust(w) if i == 0 else cell.rjust(w) for i, (cell, w) in enumerate(zip(row, widths)))
+        )
+    return "\n".join(lines) + "\n"
+
+
+_cells = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    table=st.integers(1, 8).flatmap(
+        lambda width: st.tuples(
+            st.tuples(*[_cells] * width),
+            st.one_of(
+                st.just([]),
+                st.lists(st.tuples(*[_cells] * width), min_size=1, max_size=1),
+                st.lists(st.tuples(*[_cells] * width), min_size=2, max_size=40),
+            ),
+        )
+    ),
+    banner=_cells,
+)
+def test_text_layout_matches_the_per_cell_loop(table, banner):
+    header, rows = table
+    assert _render_columns(header, rows, banner, "text") == _render_columns_by_cell(header, rows, banner)
