@@ -62,12 +62,6 @@ def _require_positive_int(value: int, what: str) -> None:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
 
 
-def _require_size_triple(customers: int, vehicles: int, capacity: int) -> None:
-    _require_positive_int(customers, "customers")
-    _require_positive_int(vehicles, "vehicles")
-    _require_positive_int(capacity, "capacity")
-
-
 def qubo_qubits(
     customers: int,
     vehicles: int,
@@ -79,11 +73,9 @@ def qubo_qubits(
     ``vehicles * ((customers + 1)**2 + capacity)`` under STRICT;
     COMPAT squares ``customers - 1`` instead.
     """
-    _require_size_triple(customers, vehicles, capacity)
-    return _qubo_qubits(customers, vehicles, capacity, convention)
-
-
-def _qubo_qubits(customers: int, vehicles: int, capacity: int, convention: SizeConvention) -> int:
+    _require_positive_int(customers, "customers")
+    _require_positive_int(vehicles, "vehicles")
+    _require_positive_int(capacity, "capacity")
     base = customers + 1 if convention is SizeConvention.STRICT else customers - 1
     return vehicles * (base * base + capacity)
 
@@ -102,11 +94,9 @@ def hobo_qubits(
     ``log2(capacity + 1)`` down separately before summing; CEIL widens each
     register up instead.  Both return integers.
     """
-    _require_size_triple(customers, vehicles, capacity)
-    return _hobo_qubits(customers, vehicles, capacity, log_mode)
-
-
-def _hobo_qubits(customers: int, vehicles: int, capacity: int, log_mode: LogMode) -> float:
+    _require_positive_int(customers, "customers")
+    _require_positive_int(vehicles, "vehicles")
+    _require_positive_int(capacity, "capacity")
     if log_mode is LogMode.CEIL:
         position_bits = (customers - 1).bit_length()
         load_bits = capacity.bit_length()
@@ -131,10 +121,6 @@ def hamiltonian_terms(encoding: EncodingKind, size: float) -> float:
     ``2 * size**3`` for QUBO, ``size**4 / 2`` for HOBO.
     """
     _require_positive_number(size, "size")
-    return _terms(encoding, size)
-
-
-def _terms(encoding: EncodingKind, size: float) -> float:
     if encoding is EncodingKind.QUBO:
         return 2 * size**3
     return size**4 / 2
@@ -146,10 +132,6 @@ def circuit_volume(encoding: EncodingKind, size: float) -> float:
     ``12 * size**3`` for QUBO, ``2 * size**4 * log2(size)`` for HOBO.
     """
     _require_positive_number(size, "size")
-    return _volume(encoding, size)
-
-
-def _volume(encoding: EncodingKind, size: float) -> float:
     if encoding is EncodingKind.QUBO:
         return 12 * size**3
     return 2 * size**4 * math.log2(size)
@@ -171,10 +153,6 @@ def measurement_estimate(
     _require_positive_number(size, "size")
     _require_positive_number(max_weight, "max_weight")
     _require_positive_number(constant, "constant")
-    return _measurements(encoding, size, max_weight, constant)
-
-
-def _measurements(encoding: EncodingKind, size: float, max_weight: float, constant: float) -> float:
     power = 3 if encoding is EncodingKind.QUBO else 2
     if all(float(x).is_integer() for x in (size, max_weight, constant)):
         return int(constant) * int(size) ** power * int(max_weight)
@@ -254,33 +232,23 @@ def estimate_resources(
     to the nearest whole qubit; ``convention`` only affects the QUBO
     encoding, and ``log_mode`` only the HOBO one.
     """
-    # Checks and overflows come in the order the public helpers raise them:
-    # qubits is a positive int, so its size check only raises OverflowError
-    # beyond the float range, and a huge HOBO count overflows in the terms
-    # before max_weight is checked.
-    _require_size_triple(customers, vehicles, capacity)
     if encoding is EncodingKind.QUBO:
-        qubits = _qubo_qubits(customers, vehicles, capacity, convention)
+        qubits = qubo_qubits(customers, vehicles, capacity, convention)
     else:
-        hobo = _hobo_qubits(customers, vehicles, capacity, log_mode)
+        hobo = hobo_qubits(customers, vehicles, capacity, log_mode)
         # Only REAL is fractional; FLOOR and CEIL counts stay exact ints.
         qubits = nint(hobo) if isinstance(hobo, float) else hobo
-    _require_positive_int(layers, "layers")
-    _require_positive_number(qubits, "size")
-    terms = _terms(encoding, qubits)
-    circuit = _volume(encoding, qubits)
-    _require_positive_number(max_weight, "max_weight")
-    depth = layers * qubits
-    volume = qubits * depth
+    depth = depth_estimate(qubits, layers)
+    volume = quantum_volume(qubits, depth)
     return ResourceEstimate(
         encoding=encoding,
         qubits=qubits,
-        terms=terms,
+        terms=hamiltonian_terms(encoding, qubits),
         depth=depth,
-        circuit_volume=circuit,
-        measurements=_measurements(encoding, qubits, max_weight, 1.0),
+        circuit_volume=circuit_volume(encoding, qubits),
+        measurements=measurement_estimate(encoding, qubits, max_weight),
         quantum_volume=volume,
-        error_rate_threshold=1.0 / volume,
+        error_rate_threshold=error_rate_threshold(volume),
     )
 
 

@@ -60,22 +60,13 @@ def _int_row(values: Sequence[object], what: str, *where: int) -> tuple[int, ...
     """``values`` as a tuple of ints; ``what.format(*where, j)`` names entry ``j``.
 
     A row of exact ints is kept as it is, and any other row goes through
-    ``int()``.  A number that is not finite or not whole raises
-    :class:`InvalidInstance` instead of being truncated.  Strings are
-    parsed by ``int()`` alone.
+    ``int()`` entry by entry.  A number that is not finite or not whole
+    raises :class:`InvalidInstance` instead of being truncated.  Strings
+    are parsed by ``int()`` alone.
     """
     values = tuple(values)
-    types = set(map(type, values))
-    if types <= {int}:
+    if set(map(type, values)) <= {int}:
         return values
-    if str not in types:
-        try:
-            row = tuple(map(int, values))
-        except (ValueError, OverflowError):  # nan, inf
-            row = None
-        if row == values:
-            return row
-    # Strings, or an entry to refuse: go entry by entry to name it.
     row = []
     for j, value in enumerate(values):
         if isinstance(value, str):

@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchmark_data import RESOURCE_ROWS
@@ -31,7 +31,7 @@ from qcvrp import (
     qubo_qubits,
 )
 from qcvrp.encoding import estimate_resources
-from qcvrp.instances import max_edge_weight, nint
+from qcvrp.instances import max_edge_weight
 
 sizes = st.integers(min_value=1, max_value=2000)
 
@@ -251,68 +251,3 @@ def test_instance_and_params_estimates_agree(n, k, cap, encoding, convention, lo
     from_params = params_estimate(InstanceParams("x", n, k, cap), encoding, convention, layers, log_mode)
     assert from_inst.measurements == from_params.measurements * max(1, max_edge_weight(inst))
     assert from_inst == dataclasses.replace(from_params, measurements=from_inst.measurements)
-
-
-def _composed_estimate(customers, vehicles, capacity, max_weight, encoding, convention, layers, log_mode):
-    """``estimate_resources`` as a composition of the checked public helpers,
-    frozen here as the reference for the single-check estimator."""
-    if encoding is EncodingKind.QUBO:
-        qubits = qubo_qubits(customers, vehicles, capacity, convention)
-    else:
-        hobo = hobo_qubits(customers, vehicles, capacity, log_mode)
-        qubits = nint(hobo) if isinstance(hobo, float) else hobo
-    depth = depth_estimate(qubits, layers)
-    volume = quantum_volume(qubits, depth)
-    return ResourceEstimate(
-        encoding=encoding,
-        qubits=qubits,
-        terms=hamiltonian_terms(encoding, qubits),
-        depth=depth,
-        circuit_volume=circuit_volume(encoding, qubits),
-        measurements=measurement_estimate(encoding, qubits, max_weight),
-        quantum_volume=volume,
-        error_rate_threshold=error_rate_threshold(volume),
-    )
-
-
-def _outcome(fn, *args):
-    """A result's fields with their types, or a raised exception's type and message."""
-    try:
-        est = fn(*args)
-    except Exception as exc:  # its type and message are what is compared
-        return type(exc), str(exc)
-    return [(f.name, getattr(est, f.name), type(getattr(est, f.name))) for f in dataclasses.fields(est)]
-
-
-_bad_ints = st.sampled_from([0, -1, -7, True, False, 2.0, 2.5, "3", None])
-# Counts up to 10**400 take every overflow path: a HOBO count whose fourth
-# power leaves the float range, and counts beyond it.
-_counts = st.one_of(st.integers(1, 3000), st.integers(10**60, 10**400), _bad_ints)
-_weights = st.one_of(
-    st.integers(1, 10**6),
-    st.integers(1, 10**400),
-    st.floats(min_value=1e-3, max_value=1e6),
-    st.integers(1, 1000).map(float),
-    st.sampled_from([0, -1, -0.5, True, math.nan, math.inf, -math.inf, "5", None]),
-)
-
-
-@settings(max_examples=1500, deadline=None)
-@example(10**100, 1, 1, 0, EncodingKind.HOBO, SizeConvention.STRICT, 5, LogMode.FLOOR)
-@example(10**200, 1, 1, 0, EncodingKind.QUBO, SizeConvention.STRICT, 5, LogMode.FLOOR)
-@example(10**400, 1, 1, 1, EncodingKind.HOBO, SizeConvention.STRICT, 5, LogMode.CEIL)
-@given(
-    customers=_counts,
-    vehicles=st.one_of(st.integers(1, 60), _bad_ints),
-    capacity=_counts,
-    max_weight=_weights,
-    encoding=st.sampled_from(EncodingKind),
-    convention=st.sampled_from(SizeConvention),
-    layers=st.one_of(st.integers(1, 12), _bad_ints),
-    log_mode=st.sampled_from(LogMode),
-)
-def test_estimate_resources_equals_composed_public_helpers(
-    customers, vehicles, capacity, max_weight, encoding, convention, layers, log_mode
-):
-    args = (customers, vehicles, capacity, max_weight, encoding, convention, layers, log_mode)
-    assert _outcome(estimate_resources, *args) == _outcome(_composed_estimate, *args)
