@@ -112,6 +112,10 @@ def _parse_penalty(token: str):
     if token == qubo.AUTO:
         return qubo.AUTO
     try:
+        return int(token)  # exact at any size; a float would round it
+    except ValueError:
+        pass
+    try:
         number = float(token)
     except ValueError:
         raise ValueError(f"penalty must be a number or 'auto', got {token!r}") from None

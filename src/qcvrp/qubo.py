@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterator, Union
 
 from .errors import LengthMismatch, TooLarge
@@ -104,9 +104,10 @@ class QuboModel:
     index pairs ``(a, b)`` with ``a < b``; ``offset`` is the constant term
     and ``penalty`` the scale applied to every constraint.  Models built
     from an instance, and models read back from text that ``export_model``
-    wrote, list their terms in ascending index order.  Built models carry a
-    ``var_map``, which only ``decode_routes`` needs; models read back from
-    text do not, and evaluate and solve the same way.
+    wrote, list their terms in ascending index order and keep them as
+    arrays until either dict is read; from then on the dicts are the model.
+    Built models carry a ``var_map``, which only ``decode_routes`` needs;
+    models read back from text do not, and evaluate and solve the same way.
     """
 
     num_vars: int
@@ -116,6 +117,25 @@ class QuboModel:
     penalty: Number
     var_map: VariableMap | None = None
 
+    def __getattr__(self, name: str) -> dict:
+        # Runs only for an attribute not set: the dicts of a model keeping arrays.
+        if name not in ("linear", "quadratic") or "_arrays" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(zip(("linear", "quadratic"), _term_dicts(*self.__dict__.pop("_arrays"))))
+        return self.__dict__[name]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in ("linear", "quadratic") and "_arrays" in self.__dict__:
+            getattr(self, name)  # builds the other dict before this one is replaced
+        super().__setattr__(name, value)
+
+
+def _kept_model(num_vars: int, arrays: tuple, offset: Number, penalty: Number, var_map=None) -> QuboModel:
+    """A model keeping its terms as :func:`_term_arrays` arrays until a dict is read."""
+    model = object.__new__(QuboModel)
+    model.__dict__.update(num_vars=num_vars, offset=offset, penalty=penalty, var_map=var_map, _arrays=arrays)
+    return model
+
 
 def _auto_penalty(inst: CvrpInstance) -> int:
     # Twice the node count times the longest edge strictly dominates the
@@ -124,12 +144,7 @@ def _auto_penalty(inst: CvrpInstance) -> int:
     return 2 * inst.dimension * max(1, max_edge_weight(inst))
 
 
-def build_qubo(
-    inst: CvrpInstance,
-    penalty: Number | str = AUTO,
-    *,
-    forbid_two_cycles: bool = True,
-) -> QuboModel:
+def build_qubo(inst: CvrpInstance, penalty: Number | str = AUTO, *, forbid_two_cycles: bool = True) -> QuboModel:
     """Assemble the penalty model for an instance.
 
     Variable count is ``vehicles * dimension * (dimension - 1)`` route bits
@@ -206,9 +221,7 @@ def build_qubo(
 
     lin_at, lin_sum = _accumulate(lin_keys, lin_vals)
     quad_at, quad_sum = _accumulate(quad_keys, quad_vals)
-    del lin_keys, lin_vals, quad_keys, quad_vals  # freed before the dicts grow
-    linear, quadratic = _term_dicts(lin_at, lin_sum, np.bincount(quad_at // m), quad_at % m, quad_sum)
-    return QuboModel(m, linear, quadratic, offset, scale, vmap)
+    return _kept_model(m, (lin_at, lin_sum, quad_at // m, quad_at % m, quad_sum), offset, scale, vmap)
 
 
 def _accumulate(keys: list[np.ndarray], values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -230,33 +243,60 @@ def _accumulate(keys: list[np.ndarray], values: list[np.ndarray]) -> tuple[np.nd
     return keys[first][nonzero], sums[nonzero]
 
 
-def _term_dicts(
-    lin_at: np.ndarray,
-    lin_sum: np.ndarray,
-    row_sizes: np.ndarray,
-    columns: np.ndarray,
-    quad_sum: np.ndarray,
-) -> tuple[dict[int, Number], dict[tuple[int, int], Number]]:
-    """Plain term dicts, in array order, from index and coefficient arrays.
+def _term_dicts(*arrays: np.ndarray) -> tuple[dict[int, Number], dict[tuple[int, int], Number]]:
+    """Plain term dicts, in array order, from :func:`_term_arrays` arrays."""
+    lin_idx, lin_val, q_a, q_b, q_val = arrays
+    lin_names, a_names, b_names = _index_names((lin_idx, q_a, q_b), int)
+    return dict(zip(lin_names, lin_val.tolist())), dict(zip(zip(a_names, b_names), q_val.tolist()))
 
-    The quadratic keys are ``(a, b)`` with ``a`` ascending, each ``a``
-    repeated ``row_sizes[a]`` times, and ``b`` taken from ``columns``.  Keys
-    share one int object per variable, which keeps the dicts, the largest
-    part of a model, small.
-    """
+
+def _index_names(columns: tuple[np.ndarray, ...], kind: type) -> list[list]:
+    """Index columns as lists sharing one ``kind(i)`` per index: smaller dicts,
+    fewer conversions in the export.  Indices sparser than the terms stay ints."""
     import numpy as np
-    size = max(len(row_sizes), lin_at.max(initial=-1) + 1, columns.max(initial=-1) + 1)
-    names = np.arange(size).astype(object)
-    linear = dict(zip(names[lin_at], lin_sum.tolist()))
-    rows = chain.from_iterable(map(repeat, names, row_sizes.tolist()))
-    return linear, dict(zip(zip(rows, names[columns]), quad_sum.tolist()))
+    size = max(int(c.max(initial=-1)) for c in columns) + 1
+    if size > sum(map(len, columns)):  # a name per index would outweigh the terms
+        return [c.tolist() for c in columns]
+    names = np.array(list(map(kind, range(size))), dtype=object)
+    return [names[c].tolist() for c in columns]
+
+
+def _term_arrays(model: QuboModel) -> tuple[np.ndarray, ...]:
+    """``(lin_idx, lin_val, q_a, q_b, q_val)``: the arrays a model keeps, or
+    ones built from its dicts in dict order.  ``ValueError`` names the first
+    index outside the model; numpy would let a negative one alias another."""
+    import numpy as np
+    m = model.num_vars
+    arrays = model.__dict__.get("_arrays")
+    if arrays is None:
+        lin, quad = model.linear, model.quadratic
+        try:
+            lin_idx = np.fromiter(lin, np.int64, len(lin))
+            pairs = np.fromiter(chain.from_iterable(quad), np.int64, 2 * len(quad))
+        except OverflowError:  # an index past int64, so outside the model: kept exact to name it
+            lin_idx, pairs = (np.array(list(keys), dtype=object) for keys in (lin, chain.from_iterable(quad)))
+        arrays = (lin_idx, _coefficients(lin), pairs[0::2], pairs[1::2], _coefficients(quad))
+    for what, keys in (("linear index {}", arrays[:1]), ("quadratic index pair ({}, {})", arrays[2:4])):
+        if any(k.size and (k.min() < 0 or k.max() >= m) for k in keys):
+            first = np.argmax(np.logical_or.reduce([(k < 0) | (k >= m) for k in keys]))
+            raise ValueError(f"{what.format(*(k[first] for k in keys))} outside 0..{m - 1}")
+    return arrays
+
+
+def _coefficients(terms: dict) -> np.ndarray:
+    # int64 when every value is an int that fits, else the values themselves
+    import numpy as np
+    try:
+        if all(type(c) is int for c in terms.values()):
+            return np.fromiter(terms.values(), np.int64, len(terms))
+    except OverflowError:
+        pass
+    return np.fromiter(terms.values(), object, len(terms))
 
 
 def _check_assignment(model: QuboModel, assignment: str) -> list[int]:
     if len(assignment) != model.num_vars:
-        raise LengthMismatch(
-            f"assignment has {len(assignment)} bits, model has {model.num_vars} variables"
-        )
+        raise LengthMismatch(f"assignment has {len(assignment)} bits, model has {model.num_vars} variables")
     if set(assignment) - {"0", "1"}:
         raise ValueError("assignment must be a string over '0' and '1'")
     return [1 if c == "1" else 0 for c in assignment]
@@ -265,57 +305,54 @@ def _check_assignment(model: QuboModel, assignment: str) -> list[int]:
 def energy(model: QuboModel, assignment: str) -> Number:
     """Evaluate the model on a bitstring (index 0 is the leftmost bit).
 
-    An index outside ``0..num_vars-1`` raises ``ValueError``; a list would
-    let a negative one alias a bit from the end.
+    The offset, the linear terms, then the quadratic terms are added one at
+    a time in listed order.  An index outside the model raises ``ValueError``.
     """
-    bits = dict(enumerate(_check_assignment(model, assignment)))
-    last = model.num_vars - 1
+    import numpy as np
+    _check_assignment(model, assignment)
+    lin_idx, lin_val, q_a, q_b, q_val = _term_arrays(model)
+    bits = np.frombuffer(assignment.encode(), dtype=np.uint8) == ord("1")
     total = model.offset
-    try:
-        for a, coeff in model.linear.items():
-            if bits[a]:
-                total += coeff
-    except KeyError:
-        raise ValueError(f"linear index {a} outside 0..{last}") from None
-    try:
-        for (a, b), coeff in model.quadratic.items():
-            if bits[a] & bits[b]:  # both looked up, so either index is checked
-                total += coeff
-    except KeyError:
-        raise ValueError(f"quadratic index pair ({a}, {b}) outside 0..{last}") from None
+    for chosen in (lin_val[bits[lin_idx]], q_val[bits[q_a] & bits[q_b]]):
+        bound = max(-int(chosen.min(initial=0)), int(chosen.max(initial=0))) if chosen.dtype.kind == "i" else 2**63
+        if type(total) is int and bound * len(chosen) < 2**63:  # no int64 partial sum can wrap
+            total += int(chosen.sum())
+        else:  # one at a time, as the built-in sum() compensates floats from Python 3.12
+            for value in chosen.tolist():
+                total += value
     return total
 
 
 def count_terms(model: QuboModel) -> tuple[int, int]:
     """Number of nonzero linear and quadratic coefficients."""
-    n_lin = sum(1 for c in model.linear.values() if c != 0)
-    n_quad = sum(1 for c in model.quadratic.values() if c != 0)
-    return (n_lin, n_quad)
+    _, lin_val, _, _, q_val = _term_arrays(model)
+    return (int((lin_val != 0).sum()), int((q_val != 0).sum()))
 
 
-def _dense(model: QuboModel) -> tuple[np.ndarray, np.ndarray]:
-    """Linear vector and symmetric, zero-diagonal coupling matrix.
-
-    Indices outside ``0..num_vars-1`` raise ``ValueError``; numpy would let
-    a negative one alias a variable from the end.
-    """
+def _dense(model: QuboModel) -> tuple[np.ndarray, np.ndarray, float]:
+    """Linear vector, symmetric zero-diagonal coupling matrix and offset, as
+    floats; ``ValueError`` if an index lies outside the model or a value is
+    not finite as a float, such as an int beyond float range."""
     import numpy as np
+    lin_idx, lin_val, q_a, q_b, q_val = _term_arrays(model)
     m = model.num_vars
+    try:
+        offset = float(model.offset)
+        lin_val, q_val = lin_val.astype(np.float64), q_val.astype(np.float64)
+    except OverflowError:
+        raise ValueError("model coefficients and offset must be finite") from None
     lin = np.zeros(m)
     quad = np.zeros((m, m))
-    for a, coeff in model.linear.items():
-        if not 0 <= a < m:
-            raise ValueError(f"linear index {a} outside 0..{m - 1}")
-        lin[a] += coeff
-    for (a, b), coeff in model.quadratic.items():
-        if not (0 <= a < m and 0 <= b < m):
-            raise ValueError(f"quadratic index pair ({a}, {b}) outside 0..{m - 1}")
-        if a == b:
-            lin[a] += coeff  # x * x == x
-        else:
-            quad[a, b] += coeff
-            quad[b, a] += coeff
-    return lin, quad
+    same = q_a == q_b  # x * x == x; np.add.at adds in array order
+    np.add.at(lin, np.concatenate([lin_idx, q_a[same]]), np.concatenate([lin_val, q_val[same]]))
+    a, b, c = q_a[~same], q_b[~same], q_val[~same]
+    np.add.at(quad, (np.concatenate([a, b]), np.concatenate([b, a])), np.concatenate([c, c]))
+    # A finite sum of magnitudes also bounds every partial sum below.
+    with np.errstate(over="ignore"):
+        magnitude = abs(offset) + np.abs(lin).sum() + np.abs(quad).sum()
+    if not math.isfinite(magnitude):
+        raise ValueError("model coefficients and offset must be finite")
+    return lin, quad, offset
 
 
 def _interchangeable(lin: np.ndarray, quad: np.ndarray) -> np.ndarray:
@@ -362,9 +399,7 @@ def _bits_of(indices: np.ndarray, width: int) -> np.ndarray:
 
 
 def brute_force_solve(
-    model: QuboModel,
-    max_vars: int = DEFAULT_MAX_VARS,
-    chunk_bits: int = _CHUNK_BITS,
+    model: QuboModel, max_vars: int = DEFAULT_MAX_VARS, chunk_bits: int = _CHUNK_BITS
 ) -> tuple[str, Number]:
     """Exact global minimum of the model.
 
@@ -377,8 +412,8 @@ def brute_force_solve(
     every (high, low) pair is evaluated, ``2**chunk_bits`` pairs per numpy
     block.  Ties go to the lexicographically smallest bitstring, independent
     of chunking.  Raises ``TooLarge`` beyond ``max_vars`` variables and
-    ``ValueError`` on an index outside the model or a non-finite
-    coefficient.
+    ``ValueError`` on an index outside the model or a coefficient or
+    offset that is not finite as a float.
     """
     import numpy as np
     m = model.num_vars
@@ -386,14 +421,7 @@ def brute_force_solve(
         raise ValueError("the model has no variables")
     if m > max_vars:
         raise TooLarge(f"{m} variables exceed the cap of {max_vars}")
-    lin, quad = _dense(model)
-    offset = float(model.offset)
-    # A finite sum of magnitudes also bounds every partial sum below.
-    with np.errstate(over="ignore"):
-        magnitude = abs(offset) + np.abs(lin).sum() + np.abs(quad).sum()
-    if not math.isfinite(magnitude):
-        raise ValueError("model coefficients and offset must be finite")
-
+    lin, quad, offset = _dense(model)
     owner = _interchangeable(lin, quad)
     n = _enumerated_prefix(owner, quad)
     n_lo = min((n + 1) // 2, chunk_bits)
@@ -510,28 +538,17 @@ def decode_routes(model: QuboModel, assignment: str, inst: CvrpInstance) -> Rout
     for i in range(1, nodes):
         departures = sum(out_deg[v][i] for v in range(k))
         if departures != 1:
-            violations.append(
-                Violation(VISIT_COUNT, node=i, detail=f"left {departures} times, expected 1")
-            )
+            violations.append(Violation(VISIT_COUNT, node=i, detail=f"left {departures} times, expected 1"))
 
     for v in range(k):
         if out_deg[v][0] != 1:
-            violations.append(
-                Violation(DEPOT_DEPARTURE, vehicle=v, detail=f"{out_deg[v][0]} departures")
-            )
+            violations.append(Violation(DEPOT_DEPARTURE, vehicle=v, detail=f"{out_deg[v][0]} departures"))
         if in_deg[v][0] != 1:
-            violations.append(
-                Violation(DEPOT_RETURN, vehicle=v, detail=f"{in_deg[v][0]} returns")
-            )
+            violations.append(Violation(DEPOT_RETURN, vehicle=v, detail=f"{in_deg[v][0]} returns"))
         for i in range(1, nodes):
             if out_deg[v][i] != in_deg[v][i]:
                 violations.append(
-                    Violation(
-                        FLOW_BALANCE,
-                        vehicle=v,
-                        node=i,
-                        detail=f"in {in_deg[v][i]}, out {out_deg[v][i]}",
-                    )
+                    Violation(FLOW_BALANCE, vehicle=v, node=i, detail=f"in {in_deg[v][i]}, out {out_deg[v][i]}")
                 )
         load = sum(inst.demands[i] * out_deg[v][i] for i in range(1, nodes))
         if load > inst.capacity:
@@ -594,27 +611,23 @@ def export_model(model: QuboModel) -> str:
     """Serialize a model to text.
 
     Header ``QUBO <num_vars> <offset> <penalty>``, then one ``L <index>
-    <coeff>`` line per linear term and one ``Q <i> <j> <coeff>`` line per
-    quadratic term, in index order.
+    <coeff>`` line per nonzero linear term and one ``Q <i> <j> <coeff>``
+    line per nonzero quadratic term, in index order.
     """
+    import numpy as np
+    lin_idx, lin_val, q_a, q_b, q_val = _term_arrays(model)
+    lin = np.flatnonzero(lin_val != 0)
+    lin = lin[np.argsort(lin_idx[lin], kind="stable")]
+    pairs = np.flatnonzero(q_val != 0)
+    pairs = pairs[np.lexsort((q_b[pairs], q_a[pairs]))]
+    lin_names, a_names, b_names = _index_names((lin_idx[lin], q_a[pairs], q_b[pairs]), str)
     lines = [f"QUBO {model.num_vars} {_format_number(model.offset)} {_format_number(model.penalty)}"]
-    lines += [
-        f"L {a} {c}" if type(c) is int else f"L {a} {_format_number(c)}"
-        for a, c in _sorted_items(model.linear)
-        if c != 0
-    ]
-    lines += [
-        f"Q {a} {b} {c}" if type(c) is int else f"Q {a} {b} {_format_number(c)}"
-        for (a, b), c in _sorted_items(model.quadratic)
-        if c != 0
-    ]
+    lin_texts, q_texts = (  # an int64 prints as the Python int it converts to
+        v.tolist() if v.dtype.kind == "i" else map(_format_number, v.tolist()) for v in (lin_val[lin], q_val[pairs])
+    )
+    lines += [f"L {a} {c}" for a, c in zip(lin_names, lin_texts)]
+    lines += [f"Q {a} {b} {c}" for a, b, c in zip(a_names, b_names, q_texts)]
     return "\n".join(lines) + "\n"
-
-
-def _sorted_items(terms: dict) -> Iterator[tuple]:
-    # Sorting the keys alone makes no (key, value) tuple per term.
-    keys = sorted(terms)
-    return zip(keys, map(terms.__getitem__, keys))
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -645,16 +658,18 @@ _HEADS_TO_SPACES = bytes.maketrans(b"LQ", b"  ")
 _LAYOUT_BYTES = b"0123456789 -\nLQ"
 
 
-def _canonical_values(body: str) -> tuple[np.ndarray, int] | None:
-    """The integers of a model body and its number of ``L`` lines, when the
-    body is laid out exactly as :func:`export_model` writes integer models;
-    None for any other text.
+def _canonical_terms(body: str, num_vars: int) -> tuple[np.ndarray, ...] | None:
+    """Terms of a model body laid out exactly as :func:`export_model` writes
+    integer models, as :func:`_term_arrays` arrays; None for any other text,
+    which the line parser then reads.
 
     That layout is ``L`` lines, then ``Q`` lines, each a letter and two or
     three integers of at most ``_FAST_DIGITS`` digits, joined by single
-    spaces and ended by ``\\n``.
+    spaces and ended by ``\\n``, with keys strictly ascending.
     """
     import numpy as np
+    if not body:
+        return (np.zeros(0, dtype=np.int64),) * 5
     if not body.isascii() or not body.endswith("\n"):
         return None
     raw = body.encode()
@@ -686,25 +701,11 @@ def _canonical_values(body: str) -> tuple[np.ndarray, int] | None:
     ):
         return None
     values = np.fromstring(raw.translate(_HEADS_TO_SPACES), dtype=np.int64, sep=" ")
-    return (values, n_lin) if len(values) == len(seps) - len(ends) else None
-
-
-def _canonical_terms(body: str, num_vars: int) -> tuple[dict, dict] | None:
-    """Terms of a model body in the exact layout of :func:`export_model`
-    for integer models, with keys strictly ascending; None for any other
-    text, which the line parser then reads.
-    """
-    import numpy as np
-    if not body:
-        return {}, {}
-    found = _canonical_values(body)
-    if found is None:
+    if len(values) != len(seps) - len(ends):
         return None
-    values, n_lin = found
     lin = values[: 2 * n_lin].reshape(-1, 2)
     quad = values[2 * n_lin :].reshape(-1, 3)
     rows, cols = quad[:, 0], quad[:, 1]
-    # No temporary outlives its test: the dicts below are the peak.
     if not (
         (np.diff(lin[:, 0]) > 0).all()
         and (rows < cols).all()
@@ -714,7 +715,7 @@ def _canonical_terms(body: str, num_vars: int) -> tuple[dict, dict] | None:
         and int(max(lin[:, 0].max(initial=0), cols.max(initial=0))) < num_vars
     ):
         return None
-    return _term_dicts(lin[:, 0], lin[:, 1], np.bincount(rows), cols, quad[:, 2])
+    return lin[:, 0], lin[:, 1], rows, cols, quad[:, 2]
 
 
 def _parse_lines(lines: Iterator[tuple[int, str]], num_vars: int) -> tuple[dict, dict]:
@@ -772,8 +773,7 @@ def parse_model(text: str) -> QuboModel:
     penalty = _parse_number(head[3], head_no)
     if not penalty > 0:
         raise ValueError(f"model line {head_no}: penalty must be positive")
-    if lines is None:
-        terms = _canonical_terms(body, num_vars) or _parse_lines(enumerate(body.splitlines(), start=2), num_vars)
-    else:
-        terms = _parse_lines(lines, num_vars)
-    return QuboModel(num_vars, *terms, offset, penalty)
+    if lines is None and (arrays := _canonical_terms(body, num_vars)) is not None:
+        return _kept_model(num_vars, arrays, offset, penalty)
+    lines = enumerate(body.splitlines(), start=2) if lines is None else lines
+    return QuboModel(num_vars, *_parse_lines(lines, num_vars), offset, penalty)

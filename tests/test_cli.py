@@ -293,15 +293,33 @@ class TestQuboAndSolve:
         assert "penalty must be a number or 'auto'" in err
 
     @pytest.mark.parametrize("command", ["qubo", "solve"])
-    @pytest.mark.parametrize("token", ["inf", "1e400", str(10**400)], ids=["inf", "1e400", "10**400"])
+    @pytest.mark.parametrize("token", ["inf", "1e400"], ids=["inf", "1e400"])
     def test_non_finite_penalty_refused(self, capsys, triangle_file, tmp_path, command, token):
-        # the CLI reads a penalty as a float, so 10**400 written out is inf too
         argv = [command, triangle_file, "--penalty", token]
         out_path = tmp_path / "model.txt"
         if command == "qubo":
             argv += ["--out", str(out_path)]
         assert run_cli(capsys, *argv) == (1, "", "error: penalty must be finite\n")
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("token", ["100000000000000000001", str(10**400)], ids=["1e20+1", "10**400"])
+    def test_integer_penalty_read_exactly(self, capsys, triangle_file, tmp_path, token):
+        # an integer token is read as an int, not rounded through a float
+        out_path = tmp_path / "model.txt"
+        code, out, err = run_cli(capsys, "qubo", triangle_file, "--penalty", token, "--out", str(out_path))
+        assert (code, err) == (0, "")
+        assert out.endswith(f"penalty {token}\n")
+        assert out_path.read_text(encoding="utf-8").split("\n", 1)[0] == f"QUBO 8 {8 * int(token)} {token}"
+
+    def test_solve_refuses_a_penalty_beyond_float_range(self, capsys, triangle_file):
+        expected = (1, "", "error: model coefficients and offset must be finite\n")
+        assert run_cli(capsys, "solve", triangle_file, "--penalty", str(10**400)) == expected
+
+    def test_solve_refuses_a_model_coefficient_beyond_float_range(self, capsys, tmp_path):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(f"QUBO 2 0 1\nL 0 {10**400}\n", encoding="utf-8")
+        expected = (1, "", "error: model coefficients and offset must be finite\n")
+        assert run_cli(capsys, "solve", str(model_path)) == expected
 
     def test_solve_refuses_a_header_word_other_than_qubo(self, capsys, tmp_path):
         model_path = tmp_path / "model.txt"

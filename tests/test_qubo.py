@@ -5,10 +5,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcvrp.qubo as qubo_module
 from conftest import family_instance
 from qcvrp import (
     QuboModel,
@@ -37,6 +39,7 @@ from qcvrp.qubo import (
     VISIT_COUNT,
     VarIndex,
     _canonical_terms,
+    _index_names,
 )
 from routing_oracle import best_routes_cost
 from test_acceptance import small_family
@@ -461,12 +464,24 @@ class TestSolverKernel:
             brute_force_solve(model)
 
     @pytest.mark.parametrize(
+        "linear, quadratic, offset",
+        [({0: 10**400}, {}, 0), ({}, {(0, 1): -(10**400)}, 0), ({0: 1}, {}, 10**400)],
+        ids=["linear", "quadratic", "offset"],
+    )
+    def test_ints_beyond_float_range_are_rejected(self, linear, quadratic, offset):
+        model = QuboModel(num_vars=2, linear=linear, quadratic=quadratic, offset=offset, penalty=1)
+        with pytest.raises(ValueError, match="model coefficients and offset must be finite"):
+            brute_force_solve(model)
+
+    @pytest.mark.parametrize(
         "linear, quadratic, message",
         [
             ({-1: -5}, {}, "linear index -1 outside 0..1"),
             ({5: 1}, {}, "linear index 5 outside 0..1"),
             ({}, {(0, 2): 1}, r"index pair \(0, 2\) outside 0..1"),
             ({}, {(-1, 0): 1}, r"index pair \(-1, 0\) outside 0..1"),
+            ({0: 1, 2**70: 1}, {}, f"linear index {2**70} outside 0..1"),
+            ({0: 1}, {(0, 1): 1, (1, -(2**64)): 1}, rf"index pair \(1, {-(2**64)}\) outside 0..1"),
         ],
     )
     def test_indices_outside_the_model_are_rejected(self, linear, quadratic, message):
@@ -722,6 +737,215 @@ class TestModelTextProperties:
         except ValueError:
             pass
 
+
+
+# The dict-walking code that array-backed models replaced, kept as the
+# reference that their results must match in value and type.
+
+
+def frozen_energy(model: QuboModel, assignment: str):
+    bits = dict(enumerate(1 if c == "1" else 0 for c in assignment))
+    last = model.num_vars - 1
+    total = model.offset
+    try:
+        for a, coeff in model.linear.items():
+            if bits[a]:
+                total += coeff
+    except KeyError:
+        raise ValueError(f"linear index {a} outside 0..{last}") from None
+    try:
+        for (a, b), coeff in model.quadratic.items():
+            if bits[a] & bits[b]:
+                total += coeff
+    except KeyError:
+        raise ValueError(f"quadratic index pair ({a}, {b}) outside 0..{last}") from None
+    return total
+
+
+def frozen_count_terms(model: QuboModel) -> tuple[int, int]:
+    return (sum(1 for c in model.linear.values() if c != 0), sum(1 for c in model.quadratic.values() if c != 0))
+
+
+def frozen_dense(model: QuboModel):
+    """The solver's float form of a model, with its finiteness check."""
+    m = model.num_vars
+    lin = np.zeros(m)
+    quad = np.zeros((m, m))
+    for a, coeff in model.linear.items():
+        if not 0 <= a < m:
+            raise ValueError(f"linear index {a} outside 0..{m - 1}")
+        lin[a] += coeff
+    for (a, b), coeff in model.quadratic.items():
+        if not (0 <= a < m and 0 <= b < m):
+            raise ValueError(f"quadratic index pair ({a}, {b}) outside 0..{m - 1}")
+        if a == b:
+            lin[a] += coeff
+        else:
+            quad[a, b] += coeff
+            quad[b, a] += coeff
+    offset = float(model.offset)
+    with np.errstate(over="ignore"):
+        magnitude = abs(offset) + np.abs(lin).sum() + np.abs(quad).sum()
+    if not math.isfinite(magnitude):
+        raise ValueError("model coefficients and offset must be finite")
+    return lin, quad, offset
+
+
+def frozen_format_number(value) -> str:
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return repr(value)
+
+
+def frozen_export(model: QuboModel) -> str:
+    lines = [f"QUBO {model.num_vars} {frozen_format_number(model.offset)} {frozen_format_number(model.penalty)}"]
+    lines += [f"L {a} {frozen_format_number(model.linear[a])}" for a in sorted(model.linear) if model.linear[a] != 0]
+    lines += [
+        f"Q {a} {b} {frozen_format_number(model.quadratic[a, b])}"
+        for a, b in sorted(model.quadratic)
+        if model.quadratic[a, b] != 0
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def frozen_solve(model: QuboModel):
+    # the enumeration kernel is unchanged; only its float form and the
+    # final energy read the terms
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qubo_module, "_dense", frozen_dense)
+        patch.setattr(qubo_module, "energy", frozen_energy)
+        return brute_force_solve(model)
+
+
+def typed(value):
+    return tuple(map(typed, value)) if isinstance(value, tuple) else (value, type(value))
+
+
+def outcomes(model: QuboModel, assignments: list[str], frozen: bool) -> list:
+    """What each model function returns or raises, with the types of the values."""
+    calls = [(frozen_energy if frozen else energy, a) for a in assignments]
+    calls += [(frozen_count_terms if frozen else count_terms,), (frozen_export if frozen else export_model,)]
+    if model.num_vars <= 14:
+        calls.append((frozen_solve if frozen else brute_force_solve,))
+    results = []
+    for f, *args in calls:
+        try:
+            results.append(typed(f(model, *args)))
+        except (ValueError, TooLarge) as exc:
+            results.append((type(exc), str(exc)))
+    return results
+
+
+@st.composite
+def hand_models(draw) -> QuboModel:
+    """Models built in code: keys in any order, (b, a) and (a, a) pairs, zero
+    coefficients, and ints, big ints and floats mixed."""
+    m = draw(st.integers(1, 10))
+    index = st.integers(0, m - 1)
+    values = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-(2**70), 2**70), st.floats(-1e6, 1e6))
+    linear = draw(st.dictionaries(index, values, max_size=m))
+    quadratic = draw(st.dictionaries(st.tuples(index, index), values, max_size=20))
+    offset = draw(st.one_of(st.integers(-(2**70), 2**70), st.floats(-1e6, 1e6)))
+    return QuboModel(m, linear, quadratic, offset, penalty=1)
+
+
+@st.composite
+def model_makers(draw):
+    """A function that makes a fresh model, and its variable count: built
+    (int64, wide object arrays, float penalties), read back through the
+    fast path or the line parser, or built in code."""
+    kind = draw(st.sampled_from(["built", "read back", "line parser", "hand-built"]))
+    if kind == "hand-built":
+        model = draw(hand_models())
+        return (lambda: dataclasses.replace(model)), model.num_vars
+    if kind == "line parser":  # reversed lines are out of canonical order
+        head, *lines = export_model(draw(text_models())).splitlines()
+        text = "\n".join([head, *reversed(lines)]) + "\n"
+        return (lambda: parse_model(text)), parse_model(text).num_vars
+    inst = draw(small_instances())
+    penalty = draw(st.sampled_from([AUTO, 7, 2.5, 0.1]))
+    if kind == "built":
+        return (lambda: build_qubo(inst, penalty)), build_qubo(inst, penalty).num_vars
+    text = export_model(build_qubo(inst, penalty))
+    return (lambda: parse_model(text)), parse_model(text).num_vars
+
+
+class TestArrayBackedModels:
+    @settings(max_examples=120, deadline=None)
+    @given(model_makers(), st.data())
+    def test_matches_the_dict_walking_code(self, maker, data):
+        make, m = maker
+        bits = st.text(alphabet="01", min_size=m, max_size=m)
+        assignments = ["0" * m, "1" * m, data.draw(bits), data.draw(bits)]
+        model = make()
+        fresh = outcomes(model, assignments, frozen=False)  # before any dict is read
+        frozen = outcomes(model, assignments, frozen=True)
+        assert fresh == frozen
+        assert outcomes(model, assignments, frozen=False) == frozen  # the dicts are now the model
+
+    def test_fifteen_digit_coefficients_summing_past_int64(self):
+        # 11 175 selected terms of 999999999999999 sum to ~1.1e19 > 2**63
+        m = 150
+        lines = [f"QUBO {m} -7 1"] + [f"L {a} -{10**15 - 1 - a}" for a in range(m)]
+        lines += [f"Q {a} {b} {10**15 - 1}" for a, b in itertools.combinations(range(m), 2)]
+        text = "\n".join(lines) + "\n"
+        assert _canonical_terms(text.partition("\n")[2], m) is not None
+        for assignment in ("1" * m, "01" * (m // 2)):
+            got = energy(parse_model(text), assignment)
+            want = frozen_energy(parse_model(text), assignment)
+            assert type(got) is int and got == want
+        assert energy(parse_model(text), "1" * m) > 2**63
+
+    def test_edits_after_the_first_read_are_followed(self, triangle):
+        model = build_qubo(triangle)
+        model.linear[6] += 1  # the first read: from now on the dicts are the model
+        model.linear[7] = 0
+        del model.quadratic[next(iter(model.quadratic))]
+        model.quadratic[(3, 3)] = -2
+        assignments = ["0" * 8, "1" * 8, OPT_TOUR_BITS, ALT_TOUR_BITS]
+        assert outcomes(model, assignments, frozen=False) == outcomes(model, assignments, frozen=True)
+
+    def test_assigning_one_dict_keeps_the_other(self, triangle):
+        model = build_qubo(triangle)
+        quadratic = dict(build_qubo(triangle).quadratic)
+        model.linear = {0: 1}
+        assert model.quadratic == quadratic
+        assert energy(model, "1" * 8) == model.offset + 1 + sum(quadratic.values())
+
+    def test_dataclass_behaviour_is_unchanged(self, triangle):
+        text = export_model(build_qubo(triangle))
+        plain = parse_model(text)
+        plain = QuboModel(plain.num_vars, plain.linear, plain.quadratic, plain.offset, plain.penalty)
+        assert repr(parse_model(text)) == repr(plain)
+        assert parse_model(text) == plain
+        assert dataclasses.replace(parse_model(text), penalty=7) == dataclasses.replace(plain, penalty=7)
+        assert dataclasses.replace(parse_model(text), linear={}).quadratic == plain.quadratic
+        assert build_qubo(triangle) != dataclasses.replace(build_qubo(triangle), offset=0)
+        with pytest.raises(AttributeError, match="has no attribute 'lienar'"):
+            parse_model(text).lienar
+
+    def test_reading_and_solving_build_no_dicts(self, triangle, monkeypatch):
+        built = []
+        real = qubo_module._term_dicts
+        monkeypatch.setattr(qubo_module, "_term_dicts", lambda *arrays: built.append(1) or real(*arrays))
+        model = parse_model(export_model(build_qubo(triangle)))
+        assert count_terms(model) == (8, 20)
+        assert energy(model, OPT_TOUR_BITS) == 12
+        assert export_model(model).startswith("QUBO 8 240 30\n")
+        assert brute_force_solve(model) == (OPT_TOUR_BITS, 12)
+        assert built == []
+        assert len(model.linear) == 8 and len(model.quadratic) == 20
+        assert built == [1]
+
+    def test_sparse_indices_get_no_name_table(self):
+        # one name per possible index would cost O(num_vars) for two terms
+        columns = (np.array([10**6 - 1]), np.array([3]))
+        assert _index_names(columns, str) == [[10**6 - 1], [3]]
+        model = parse_model(f"QUBO {10**6} 0 1\nL {10**6 - 1} 5\nQ 3 {10**6 - 1} -1\n")
+        assert export_model(model) == f"QUBO {10**6} 0 1\nL {10**6 - 1} 5\nQ 3 {10**6 - 1} -1\n"
+        assert (model.linear, model.quadratic) == ({10**6 - 1: 5}, {(3, 10**6 - 1): -1})
 
 def test_energy_values_are_integers_for_integer_instances(triangle):
     model = build_qubo(triangle)
