@@ -278,7 +278,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         args.handler(args)
-    except (CvrpError, ValueError, OSError, KeyError) as exc:
+    except (CvrpError, ValueError, OverflowError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

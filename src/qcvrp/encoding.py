@@ -14,7 +14,7 @@ the qubit count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .instances import CvrpInstance, max_edge_weight, nint
@@ -108,6 +108,27 @@ def hobo_qubits(
     return vehicles * (position + load)
 
 
+def encoding_qubits(
+    encoding: EncodingKind,
+    customers: int,
+    vehicles: int,
+    capacity: int,
+    convention: SizeConvention,
+    log_mode: LogMode,
+) -> int:
+    """Whole-qubit count of either encoding.
+
+    ``qubo_qubits`` under ``convention`` for QUBO, ``hobo_qubits`` under
+    ``log_mode`` for HOBO; a fractional REAL count is rounded to the nearest
+    whole qubit.
+    """
+    if encoding is EncodingKind.QUBO:
+        return qubo_qubits(customers, vehicles, capacity, convention)
+    hobo = hobo_qubits(customers, vehicles, capacity, log_mode)
+    # Only REAL is fractional; FLOOR and CEIL counts stay exact ints.
+    return nint(hobo) if isinstance(hobo, float) else hobo
+
+
 def _require_positive_number(value: float, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a positive number, got {value!r}")
@@ -197,17 +218,9 @@ class ResourceEstimate:
     error_rate_threshold: float
 
     def __post_init__(self) -> None:
-        for field_name in (
-            "qubits",
-            "terms",
-            "depth",
-            "circuit_volume",
-            "measurements",
-            "quantum_volume",
-            "error_rate_threshold",
-        ):
-            if getattr(self, field_name) < 0:
-                raise ValueError(f"{field_name} must be nonnegative")
+        for field in fields(self)[1:]:  # every figure after the encoding
+            if getattr(self, field.name) < 0:
+                raise ValueError(f"{field.name} must be nonnegative")
         if self.quantum_volume != self.qubits * self.depth:
             raise ValueError("quantum_volume must equal qubits * depth exactly")
         if abs(self.error_rate_threshold * self.quantum_volume - 1.0) > 1e-12:
@@ -228,16 +241,9 @@ def estimate_resources(
 
     The qubit count of the chosen encoding doubles as the size parameter for
     the term, volume, and measurement scalings; ``max_weight`` scales only
-    the measurement estimate.  Fractional HOBO counts under REAL are rounded
-    to the nearest whole qubit; ``convention`` only affects the QUBO
-    encoding, and ``log_mode`` only the HOBO one.
+    the measurement estimate.  The count comes from ``encoding_qubits``.
     """
-    if encoding is EncodingKind.QUBO:
-        qubits = qubo_qubits(customers, vehicles, capacity, convention)
-    else:
-        hobo = hobo_qubits(customers, vehicles, capacity, log_mode)
-        # Only REAL is fractional; FLOOR and CEIL counts stay exact ints.
-        qubits = nint(hobo) if isinstance(hobo, float) else hobo
+    qubits = encoding_qubits(encoding, customers, vehicles, capacity, convention, log_mode)
     depth = depth_estimate(qubits, layers)
     volume = quantum_volume(qubits, depth)
     return ResourceEstimate(

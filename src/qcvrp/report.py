@@ -19,11 +19,14 @@ from .encoding import (
     LogMode,
     ResourceEstimate,
     SizeConvention,
+    depth_estimate,
+    encoding_qubits,
+    error_rate_threshold,
     estimate_resources,
-    qubo_qubits,
+    quantum_volume,
 )
 from .errors import EmptyInput, SchemaError
-from .hardware import HardwareProfile, classify, feasibility_point
+from .hardware import HardwareProfile, feasibility_point
 from .qubo import _format_number
 from .value import GapRecord
 
@@ -130,10 +133,6 @@ def params_estimate(
     )
 
 
-def _format_rate(rate: float) -> str:
-    return f"{rate:.1e}"
-
-
 def _render_columns(header: tuple[str, ...], rows: list[tuple[str, ...]], banner: str, fmt: str) -> str:
     if fmt == CSV:
         buf = io.StringIO()
@@ -163,25 +162,18 @@ def render_resource_table(
     One row per instance: the size triple, the QUBO and HOBO qubit counts,
     then depth, quantum volume, and tolerable error rate for the HOBO
     encoding.  Counts print exactly; error rates print at two significant
-    figures.  The banner line names the conventions used.
+    figures.  The banner line names the conventions used.  Only these
+    figures are computed, not a full ``ResourceEstimate``.
     """
     rows: list[tuple[str, ...]] = []
     for params in instances:
-        qubo = qubo_qubits(params.customers, params.vehicles, params.capacity, convention)
-        est = params_estimate(params, EncodingKind.HOBO, convention, layers, log_mode)
-        rows.append(
-            (
-                params.name,
-                str(params.customers),
-                str(params.vehicles),
-                str(params.capacity),
-                str(qubo),
-                str(est.qubits),
-                str(est.depth),
-                str(est.quantum_volume),
-                _format_rate(est.error_rate_threshold),
-            )
-        )
+        size = (params.customers, params.vehicles, params.capacity)
+        qubo = encoding_qubits(EncodingKind.QUBO, *size, convention, log_mode)
+        hobo = encoding_qubits(EncodingKind.HOBO, *size, convention, log_mode)
+        depth = depth_estimate(hobo, layers)
+        volume = quantum_volume(hobo, depth)
+        cells = map(str, (*size, qubo, hobo, depth, volume))
+        rows.append((params.name, *cells, f"{error_rate_threshold(volume):.1e}"))
     banner = f"convention: {convention.value} | layers: {layers} | log mode: {log_mode.value}"
     return _render_columns(RESOURCE_COLUMNS, rows, banner, fmt)
 
@@ -209,14 +201,16 @@ def diagram_points(
     layers: int = DEFAULT_LAYERS,
     log_mode: LogMode = LogMode.FLOOR,
 ) -> list[DiagramPoint]:
-    """Place each instance on the qubit/depth plane and classify it."""
+    """Place each instance on the qubit/depth plane and classify it.
+
+    Feasible means inside the closed region of ``feasibility_point``, as in ``classify``.
+    """
+    n_max, d_max = feasibility_point(profile)
     points = []
-    for params in instances:
-        est = params_estimate(params, encoding, convention, layers, log_mode)
-        verdict = classify(est, profile)
-        points.append(
-            DiagramPoint(label=params.name, n=est.qubits, d=est.depth, feasible=verdict.feasible)
-        )
+    for p in instances:
+        n = encoding_qubits(encoding, p.customers, p.vehicles, p.capacity, convention, log_mode)
+        d = depth_estimate(n, layers)
+        points.append(DiagramPoint(label=p.name, n=n, d=d, feasible=n <= n_max and d <= d_max))
     return points
 
 
@@ -230,9 +224,7 @@ _GUIDE_COLOR = "#444444"
 def _decade_range(values: list[float]) -> tuple[int, int]:
     lo = math.floor(math.log10(min(values)))
     hi = math.ceil(math.log10(max(values)))
-    if hi <= lo:
-        hi = lo + 1
-    return int(lo), int(hi)
+    return lo, max(hi, lo + 1)
 
 
 def _star_points(cx: float, cy: float, outer: float, inner: float) -> str:

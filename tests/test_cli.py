@@ -7,6 +7,7 @@ import pytest
 
 from conftest import vrp_text
 from qcvrp.cli import build_parser, cli_main
+from qcvrp.encoding import EncodingKind, LogMode, SizeConvention, encoding_qubits
 
 
 @pytest.fixture
@@ -376,3 +377,59 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "name: tiny-k1" in proc.stdout
+
+
+class TestOverflow:
+    """Sizes beyond float range end in one ``error:`` line, never a traceback."""
+
+    @pytest.fixture
+    def params_file(self, tmp_path):
+        def write(customers: int) -> str:
+            path = tmp_path / f"huge{len(str(customers))}.csv"
+            path.write_text(f"name,n,vehicles,capacity\nhuge,{customers},2,30\n", encoding="utf-8")
+            return str(path)
+
+        return write
+
+    @staticmethod
+    def assert_one_error_line(code: int, out: str, err: str) -> None:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_table_prints_exact_rows_at_n_10_to_the_100(self, capsys, params_file):
+        n = 10**100
+        code, out, err = run_cli(capsys, "table", params_file(n), "--format", "csv")
+        assert (code, err) == (0, "")
+        qubo = encoding_qubits(EncodingKind.QUBO, n, 2, 30, SizeConvention.COMPAT, LogMode.FLOOR)
+        hobo = encoding_qubits(EncodingKind.HOBO, n, 2, 30, SizeConvention.COMPAT, LogMode.FLOOR)
+        depth = 5 * hobo
+        volume = hobo * depth
+        assert qubo == 2 * ((n - 1) ** 2 + 30)
+        assert out.splitlines()[2] == f"huge,{n},2,30,{qubo},{hobo},{depth},{volume},{1.0 / volume:.1e}"
+
+    def test_table_at_n_10_to_the_200_exits_1(self, capsys, params_file):
+        # the error rate 1.0 / volume needs the volume as a float
+        self.assert_one_error_line(*run_cli(capsys, "table", params_file(10**200)))
+
+    @pytest.mark.parametrize("exponent", [100, 200])
+    def test_diagram_prints_exact_rows(self, capsys, params_file, exponent):
+        n = 10**exponent
+        code, out, err = run_cli(capsys, "diagram", params_file(n), "--format", "csv")
+        assert (code, err) == (0, "")
+        hobo = encoding_qubits(EncodingKind.HOBO, n, 2, 30, SizeConvention.COMPAT, LogMode.FLOOR)
+        assert out.splitlines()[1] == f"huge,{hobo},{5 * hobo},false"
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_diagram_beyond_float_range_exits_1(self, capsys, params_file, fmt):
+        # FLOOR multiplies n by log2(n) in floats; the SVG places n on a float axis
+        argv = ["diagram", params_file(10**400), "--format", fmt]
+        if fmt == "svg":
+            argv += ["--log-mode", "ceil"]
+        self.assert_one_error_line(*run_cli(capsys, *argv))
+
+    @pytest.mark.parametrize("command", ["estimate", "classify"])
+    def test_qubo_estimate_with_a_201_digit_capacity_exits_1(self, capsys, tmp_path, command):
+        path = tmp_path / "wide.vrp"
+        text = vrp_text("wide", [(0.0, 0.0), (3.0, 4.0)], [0, 1], capacity=10**200)
+        path.write_text(text, encoding="utf-8")
+        self.assert_one_error_line(*run_cli(capsys, command, str(path), "--encoding", "qubo"))

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from benchmark_data import GAP_ROWS, RESOURCE_ROWS
 from qcvrp import (
+    DiagramPoint,
     EmptyInput,
     EncodingKind,
     GapDenominator,
     GapRecord,
+    HardwareProfile,
     InstanceParams,
     LogMode,
     SchemaError,
@@ -25,11 +27,14 @@ from qcvrp import (
     default_profiles,
     gap_records_from_csv,
     get_profile,
+    hobo_qubits,
     load_params_csv,
     params_estimate,
+    qubo_qubits,
     render_gap_table,
     render_resource_table,
 )
+from qcvrp.encoding import encoding_qubits
 from qcvrp.report import RESOURCE_COLUMNS, _render_columns
 
 GOLDEN_5 = InstanceParams("Golden_5", customers=200, vehicles=5, capacity=900)
@@ -216,19 +221,46 @@ class TestGapTable:
         assert render_gap_table([record]).splitlines()[-1].split()[-1] == "0.00"
 
 
+class TestEncodingQubits:
+    """The qubit rule behind both table columns and every diagram point."""
+
+    def test_real_counts_round_to_the_nearest_qubit(self):
+        # 3 log2 3 + 1 = 5.75 rounds up; 10 log2 10 + 1 = 34.22 rounds down
+        for n, real, whole in ((3, 5.75, 6), (10, 34.22, 34)):
+            assert hobo_qubits(n, 1, 1, LogMode.REAL) == pytest.approx(real, abs=0.01)
+            assert encoding_qubits(EncodingKind.HOBO, n, 1, 1, SizeConvention.STRICT, LogMode.REAL) == whole
+
+    def test_each_encoding_reads_only_its_own_setting(self):
+        for log_mode in LogMode:
+            assert encoding_qubits(EncodingKind.QUBO, 200, 5, 900, SizeConvention.COMPAT, log_mode) == 202505
+        for convention in SizeConvention:
+            assert encoding_qubits(EncodingKind.HOBO, 200, 5, 900, convention, LogMode.FLOOR) == 7685
+
+
 class TestDiagramPoints:
     def test_points_carry_classify_verdicts(self):
-        profile = named_profile("gen-next-high")
-        params = bundled_params()
-        points = diagram_points(params, profile)
-        assert len(points) == 23
-        for point, p in zip(points, params):
-            est = params_estimate(p, EncodingKind.HOBO, SizeConvention.COMPAT)
-            verdict = classify(est, profile)
-            assert point.label == p.name
-            assert point.n == est.qubits
-            assert point.d == est.depth
-            assert point.feasible == verdict.feasible
+        small = [
+            InstanceParams(f"s{n}-{k}-{c}", n, k, c) for n in (1, 2, 5, 9, 40) for k in (1, 3) for c in (1, 9, 100)
+        ]
+        # both sit exactly on the current-best qubit budget of 156
+        edges = [InstanceParams("qubo-edge", 13, 1, 12), InstanceParams("hobo-edge", 18, 2, 7)]
+        params = bundled_params() + small + edges
+        for profile in default_profiles():
+            for encoding in EncodingKind:
+                points = diagram_points(params, profile, encoding)
+                assert len(points) == 23 + 32
+                assert any(p.feasible for p in points) and not all(p.feasible for p in points)
+                for point, p in zip(points, params):
+                    est = params_estimate(p, encoding, SizeConvention.COMPAT)
+                    verdict = classify(est, profile)
+                    assert point.label == p.name
+                    assert point.n == est.qubits
+                    assert point.d == est.depth
+                    assert point.feasible == verdict.feasible
+        current_best = named_profile("current-best")
+        for p, encoding in zip(edges, (EncodingKind.QUBO, EncodingKind.HOBO)):
+            point = diagram_points([p], current_best, encoding)[0]
+            assert (point.n, point.feasible) == (156, True)
 
     def test_no_bundled_instance_fits_the_largest_default_profile(self):
         points = diagram_points(bundled_params(), named_profile("gen-next-high"))
@@ -239,8 +271,6 @@ class TestDiagramPoints:
         assert point.n == 202505
 
     def test_point_validation(self):
-        from qcvrp import DiagramPoint
-
         with pytest.raises(ValueError):
             DiagramPoint("x", n=0, d=1, feasible=True)
         with pytest.raises(ValueError):
@@ -391,3 +421,41 @@ _cells = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=
 def test_text_layout_matches_the_per_cell_loop(table, banner):
     header, rows = table
     assert _render_columns(header, rows, banner, "text") == _render_columns_by_cell(header, rows, banner)
+
+
+_sizes = st.tuples(st.integers(1, 10**12), st.integers(1, 200), st.integers(1, 10**15))
+
+
+@settings(deadline=None)
+@given(
+    sizes=st.lists(_sizes, min_size=1, max_size=4),
+    layers=st.integers(1, 9),
+    budgets=st.tuples(st.integers(0, 28), st.integers(0, 30)).map(lambda e: (10 ** e[0], 10 ** e[1])),
+)
+def test_sweeps_match_the_estimate_path(sizes, layers, budgets):
+    """Table rows and diagram points equal what full estimates and ``classify`` give."""
+    params = [InstanceParams(f"i{i}", *size) for i, size in enumerate(sizes)]
+    drawn = HardwareProfile("drawn", *budgets)
+    for convention in SizeConvention:
+        for log_mode in LogMode:
+            expected = []
+            for p in params:
+                est = params_estimate(p, EncodingKind.HOBO, convention, layers, log_mode)
+                qubo = qubo_qubits(p.customers, p.vehicles, p.capacity, convention)
+                counts = (p.customers, p.vehicles, p.capacity, qubo)
+                counts += (est.qubits, est.depth, est.quantum_volume)
+                expected.append([p.name, *map(str, counts), f"{est.error_rate_threshold:.1e}"])
+            text = render_resource_table(params, convention, layers, "text", log_mode)
+            assert [line.split() for line in text.splitlines()[3:]] == expected
+            table_csv = render_resource_table(params, convention, layers, "csv", log_mode)
+            assert list(csv.reader(io.StringIO(table_csv)))[2:] == expected
+            for encoding in EncodingKind:
+                first = params_estimate(params[0], encoding, convention, layers, log_mode)
+                # a profile whose corner is the first point checks the closed boundary
+                for profile in (drawn, HardwareProfile("corner", first.qubits, first.depth)):
+                    points = diagram_points(params, profile, encoding, convention, layers, log_mode)
+                    assert len(points) == len(params)
+                    for point, p in zip(points, params):
+                        est = params_estimate(p, encoding, convention, layers, log_mode)
+                        verdict = classify(est, profile)
+                        assert point == DiagramPoint(p.name, est.qubits, est.depth, verdict.feasible)
