@@ -205,13 +205,15 @@ def build_qubo(inst: CvrpInstance, penalty: Number | str = AUTO, *, forbid_two_c
     lin_keys = [arc[:, off_diag].ravel()]
     lin_vals = [np.tile(weights[off_diag], k).astype(coeff_type)]
     quad_keys, quad_vals = [], []
+    pair_lists = {n: np.triu_indices(n, 1) for n in {len(idx) for idx, _, _ in squares}}
     for idx, coeffs, constant in squares:
         c = np.broadcast_to(coeffs, idx.shape).astype(coeff_type)
         offset += scale * constant * constant
         lin_keys.append(idx)
         lin_vals.append(scale * (c * c + 2 * constant * c))
-        p, q = np.triu_indices(len(idx), 1)
-        quad_keys.append(np.minimum(idx[p], idx[q]) * m + np.maximum(idx[p], idx[q]))
+        p, q = pair_lists[len(idx)]
+        a, b = idx[p], idx[q]
+        quad_keys.append(np.minimum(a, b) * m + np.maximum(a, b))
         quad_vals.append(2 * scale * c[p] * c[q])
     if forbid_two_cycles:  # i < j, so x[v, i -> j] has the smaller index
         i, j = np.triu_indices(nodes - 1, 1)
@@ -244,21 +246,27 @@ def _accumulate(keys: list[np.ndarray], values: list[np.ndarray]) -> tuple[np.nd
 
 
 def _term_dicts(*arrays: np.ndarray) -> tuple[dict[int, Number], dict[tuple[int, int], Number]]:
-    """Plain term dicts, in array order, from :func:`_term_arrays` arrays."""
+    """Plain term dicts, in array order, from :func:`_term_arrays` arrays;
+    the keys share one int object per index."""
+    import numpy as np
     lin_idx, lin_val, q_a, q_b, q_val = arrays
-    lin_names, a_names, b_names = _index_names((lin_idx, q_a, q_b), int)
+    table, codes = _index_codes((lin_idx, q_a, q_b))
+    names = np.array(table.tolist(), dtype=object)
+    lin_names, a_names, b_names = (names[c].tolist() for c in codes)
     return dict(zip(lin_names, lin_val.tolist())), dict(zip(zip(a_names, b_names), q_val.tolist()))
 
 
-def _index_names(columns: tuple[np.ndarray, ...], kind: type) -> list[list]:
-    """Index columns as lists sharing one ``kind(i)`` per index: smaller dicts,
-    fewer conversions in the export.  Indices sparser than the terms stay ints."""
+def _index_codes(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A table of index values and each column's positions in it, so that
+    every index is converted once.  The table is ``0..max`` and the columns
+    are their own positions, unless the indices are sparser than the terms:
+    then it holds only the indices that occur."""
     import numpy as np
     size = max(int(c.max(initial=-1)) for c in columns) + 1
-    if size > sum(map(len, columns)):  # a name per index would outweigh the terms
-        return [c.tolist() for c in columns]
-    names = np.array(list(map(kind, range(size))), dtype=object)
-    return [names[c].tolist() for c in columns]
+    if size <= sum(map(len, columns)):
+        return np.arange(size), list(columns)
+    table, codes = np.unique(np.concatenate(columns), return_inverse=True)
+    return table, np.split(codes, np.cumsum([len(c) for c in columns[:-1]]))
 
 
 def _term_arrays(model: QuboModel) -> tuple[np.ndarray, ...]:
@@ -287,7 +295,7 @@ def _coefficients(terms: dict) -> np.ndarray:
     # int64 when every value is an int that fits, else the values themselves
     import numpy as np
     try:
-        if all(type(c) is int for c in terms.values()):
+        if set(map(type, terms.values())) <= {int}:
             return np.fromiter(terms.values(), np.int64, len(terms))
     except OverflowError:
         pass
@@ -612,22 +620,54 @@ def export_model(model: QuboModel) -> str:
 
     Header ``QUBO <num_vars> <offset> <penalty>``, then one ``L <index>
     <coeff>`` line per nonzero linear term and one ``Q <i> <j> <coeff>``
-    line per nonzero quadratic term, in index order.
+    line per nonzero quadratic term, in index order.  Each distinct index
+    and each distinct int64 or float64 coefficient is formatted once, and
+    the lines are laid out as one byte grid per term kind.
     """
     import numpy as np
     lin_idx, lin_val, q_a, q_b, q_val = _term_arrays(model)
     lin = np.flatnonzero(lin_val != 0)
-    lin = lin[np.argsort(lin_idx[lin], kind="stable")]
+    if not (np.diff(lin_idx[lin]) > 0).all():
+        lin = lin[np.argsort(lin_idx[lin], kind="stable")]
     pairs = np.flatnonzero(q_val != 0)
-    pairs = pairs[np.lexsort((q_b[pairs], q_a[pairs]))]
-    lin_names, a_names, b_names = _index_names((lin_idx[lin], q_a[pairs], q_b[pairs]), str)
-    lines = [f"QUBO {model.num_vars} {_format_number(model.offset)} {_format_number(model.penalty)}"]
-    lin_texts, q_texts = (  # an int64 prints as the Python int it converts to
-        v.tolist() if v.dtype.kind == "i" else map(_format_number, v.tolist()) for v in (lin_val[lin], q_val[pairs])
-    )
-    lines += [f"L {a} {c}" for a, c in zip(lin_names, lin_texts)]
-    lines += [f"Q {a} {b} {c}" for a, b, c in zip(a_names, b_names, q_texts)]
-    return "\n".join(lines) + "\n"
+    step_a, step_b = np.diff(q_a[pairs]), np.diff(q_b[pairs])
+    if not ((step_a > 0) | (step_a == 0) & (step_b > 0)).all():
+        pairs = pairs[np.lexsort((q_b[pairs], q_a[pairs]))]
+    table, (lin_codes, a_codes, b_codes) = _index_codes((lin_idx[lin], q_a[pairs], q_b[pairs]))
+    names = _texts(table)[0]
+    head = f"QUBO {model.num_vars} {_format_number(model.offset)} {_format_number(model.penalty)}\n"
+    body = [
+        _lines(b"L ", [(names, lin_codes), _texts(lin_val[lin])]),
+        _lines(b"Q ", [(names, a_codes), (names, b_codes), _texts(q_val[pairs])]),
+    ]
+    return head + b"".join(body).decode()
+
+
+def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_format_number`` text of each distinct value as a NUL-padded byte
+    string, and each value's position among them.  Object arrays (wide ints,
+    mixed or bool values) are formatted value by value."""
+    import numpy as np
+    if values.dtype == object:
+        distinct, codes = values, np.arange(len(values))
+    else:
+        distinct, codes = np.unique(values, return_inverse=True)
+    return np.array([_format_number(v).encode() for v in distinct.tolist()], dtype=bytes), codes
+
+
+def _lines(head: bytes, columns: list[tuple[np.ndarray, np.ndarray]]) -> bytes:
+    """One line per row: ``head``, then each column's text, space-separated,
+    ended by a newline.  The rows are laid out NUL-padded to each column's
+    widest text, and the padding is dropped."""
+    import numpy as np
+    rows = len(columns[0][1])
+    grid = []
+    for sep, (texts, codes) in zip([head] + [b" "] * (len(columns) - 1), columns):
+        grid.append(np.broadcast_to(np.frombuffer(sep, dtype=np.uint8), (rows, len(sep))))
+        grid.append(texts[codes].view(np.uint8).reshape(rows, texts.itemsize))
+    grid.append(np.full((rows, 1), ord("\n"), dtype=np.uint8))
+    flat = np.concatenate(grid, axis=1).ravel()
+    return flat[flat != 0].tobytes()
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:

@@ -166,14 +166,17 @@ def render_resource_table(
     figures are computed, not a full ``ResourceEstimate``.
     """
     rows: list[tuple[str, ...]] = []
-    for params in instances:
-        size = (params.customers, params.vehicles, params.capacity)
-        qubo = encoding_qubits(EncodingKind.QUBO, *size, convention, log_mode)
-        hobo = encoding_qubits(EncodingKind.HOBO, *size, convention, log_mode)
-        depth = depth_estimate(hobo, layers)
-        volume = quantum_volume(hobo, depth)
-        cells = map(str, (*size, qubo, hobo, depth, volume))
-        rows.append((params.name, *cells, f"{error_rate_threshold(volume):.1e}"))
+    try:
+        for params in instances:
+            size = (params.customers, params.vehicles, params.capacity)
+            qubo = encoding_qubits(EncodingKind.QUBO, *size, convention, log_mode)
+            hobo = encoding_qubits(EncodingKind.HOBO, *size, convention, log_mode)
+            depth = depth_estimate(hobo, layers)
+            volume = quantum_volume(hobo, depth)
+            cells = map(str, (*size, qubo, hobo, depth, volume))
+            rows.append((params.name, *cells, f"{error_rate_threshold(volume):.1e}"))
+    except OverflowError as exc:  # a figure beyond float range
+        raise SchemaError(params.name, str(exc)) from None
     banner = f"convention: {convention.value} | layers: {layers} | log mode: {log_mode.value}"
     return _render_columns(RESOURCE_COLUMNS, rows, banner, fmt)
 
@@ -207,10 +210,13 @@ def diagram_points(
     """
     n_max, d_max = feasibility_point(profile)
     points = []
-    for p in instances:
-        n = encoding_qubits(encoding, p.customers, p.vehicles, p.capacity, convention, log_mode)
-        d = depth_estimate(n, layers)
-        points.append(DiagramPoint(label=p.name, n=n, d=d, feasible=n <= n_max and d <= d_max))
+    try:
+        for p in instances:
+            n = encoding_qubits(encoding, p.customers, p.vehicles, p.capacity, convention, log_mode)
+            d = depth_estimate(n, layers)
+            points.append(DiagramPoint(label=p.name, n=n, d=d, feasible=n <= n_max and d <= d_max))
+    except OverflowError as exc:  # a figure beyond float range
+        raise SchemaError(p.name, str(exc)) from None
     return points
 
 
@@ -243,8 +249,16 @@ def _escape(text: str) -> str:
 
 def _diagram_svg(points: list[DiagramPoint], profile: HardwareProfile) -> str:
     n_max, d_max = feasibility_point(profile)
-    xs = [max(1.0, float(p.n)) for p in points] + [float(n_max)]
-    ys = [max(1.0, float(p.d)) for p in points] + [float(d_max)]
+    try:
+        xs = [max(1.0, float(p.n)) for p in points] + [float(n_max)]
+        ys = [max(1.0, float(p.d)) for p in points] + [float(d_max)]
+    except OverflowError as exc:  # name the first point the float axes cannot place
+        for p in points:
+            try:
+                float(p.n), float(p.d)
+            except OverflowError:
+                raise SchemaError(p.label, str(exc)) from None
+        raise
     x_lo, x_hi = _decade_range(xs)
     y_lo, y_hi = _decade_range(ys)
     plot_w = _SVG_W - _ML - _MR

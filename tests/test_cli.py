@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from conftest import vrp_text
+from qcvrp import DiagramPoint, SchemaError, default_profiles, feasibility_diagram
 from qcvrp.cli import build_parser, cli_main
 from qcvrp.encoding import EncodingKind, LogMode, SizeConvention, encoding_qubits
 
@@ -384,17 +385,23 @@ class TestOverflow:
 
     @pytest.fixture
     def params_file(self, tmp_path):
-        def write(customers: int) -> str:
+        def write(customers: int, neighbours: bool = False) -> str:
+            # neighbours: a small row before the huge one and a second huge row after it
+            rows = [f"huge,{customers},2,30"]
+            if neighbours:
+                rows = ["small,10,2,30", *rows, f"later,{customers},2,30"]
             path = tmp_path / f"huge{len(str(customers))}.csv"
-            path.write_text(f"name,n,vehicles,capacity\nhuge,{customers},2,30\n", encoding="utf-8")
+            path.write_text("\n".join(["name,n,vehicles,capacity", *rows]) + "\n", encoding="utf-8")
             return str(path)
 
         return write
 
     @staticmethod
-    def assert_one_error_line(code: int, out: str, err: str) -> None:
+    def assert_one_error_line(code: int, out: str, err: str, row: str | None = None) -> None:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        if row is not None:  # the first row beyond float range is named
+            assert f"bad configuration field: {row} (" in err
 
     def test_table_prints_exact_rows_at_n_10_to_the_100(self, capsys, params_file):
         n = 10**100
@@ -409,7 +416,7 @@ class TestOverflow:
 
     def test_table_at_n_10_to_the_200_exits_1(self, capsys, params_file):
         # the error rate 1.0 / volume needs the volume as a float
-        self.assert_one_error_line(*run_cli(capsys, "table", params_file(10**200)))
+        self.assert_one_error_line(*run_cli(capsys, "table", params_file(10**200, neighbours=True)), row="huge")
 
     @pytest.mark.parametrize("exponent", [100, 200])
     def test_diagram_prints_exact_rows(self, capsys, params_file, exponent):
@@ -422,10 +429,16 @@ class TestOverflow:
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     def test_diagram_beyond_float_range_exits_1(self, capsys, params_file, fmt):
         # FLOOR multiplies n by log2(n) in floats; the SVG places n on a float axis
-        argv = ["diagram", params_file(10**400), "--format", fmt]
+        argv = ["diagram", params_file(10**400, neighbours=True), "--format", fmt]
         if fmt == "svg":
             argv += ["--log-mode", "ceil"]
-        self.assert_one_error_line(*run_cli(capsys, *argv))
+        self.assert_one_error_line(*run_cli(capsys, *argv), row="huge")
+
+    def test_svg_axes_name_the_first_point_beyond_float_range(self):
+        profile = default_profiles()[0]
+        points = [DiagramPoint("small", 10, 50, False), DiagramPoint("huge", 10**400, 5 * 10**400, False)]
+        with pytest.raises(SchemaError, match=r"field: huge \("):
+            feasibility_diagram([*points, DiagramPoint("later", 10**401, 1, False)], profile)
 
     @pytest.mark.parametrize("command", ["estimate", "classify"])
     def test_qubo_estimate_with_a_201_digit_capacity_exits_1(self, capsys, tmp_path, command):

@@ -39,7 +39,7 @@ from qcvrp.qubo import (
     VISIT_COUNT,
     VarIndex,
     _canonical_terms,
-    _index_names,
+    _index_codes,
 )
 from routing_oracle import best_routes_cost
 from test_acceptance import small_family
@@ -771,19 +771,22 @@ def frozen_dense(model: QuboModel):
     m = model.num_vars
     lin = np.zeros(m)
     quad = np.zeros((m, m))
-    for a, coeff in model.linear.items():
-        if not 0 <= a < m:
-            raise ValueError(f"linear index {a} outside 0..{m - 1}")
-        lin[a] += coeff
-    for (a, b), coeff in model.quadratic.items():
-        if not (0 <= a < m and 0 <= b < m):
-            raise ValueError(f"quadratic index pair ({a}, {b}) outside 0..{m - 1}")
-        if a == b:
+    try:  # an int beyond float range cannot be added
+        for a, coeff in model.linear.items():
+            if not 0 <= a < m:
+                raise ValueError(f"linear index {a} outside 0..{m - 1}")
             lin[a] += coeff
-        else:
-            quad[a, b] += coeff
-            quad[b, a] += coeff
-    offset = float(model.offset)
+        for (a, b), coeff in model.quadratic.items():
+            if not (0 <= a < m and 0 <= b < m):
+                raise ValueError(f"quadratic index pair ({a}, {b}) outside 0..{m - 1}")
+            if a == b:
+                lin[a] += coeff
+            else:
+                quad[a, b] += coeff
+                quad[b, a] += coeff
+        offset = float(model.offset)
+    except OverflowError:
+        raise ValueError("model coefficients and offset must be finite") from None
     with np.errstate(over="ignore"):
         magnitude = abs(offset) + np.abs(lin).sum() + np.abs(quad).sum()
     if not math.isfinite(magnitude):
@@ -833,7 +836,7 @@ def outcomes(model: QuboModel, assignments: list[str], frozen: bool) -> list:
     for f, *args in calls:
         try:
             results.append(typed(f(model, *args)))
-        except (ValueError, TooLarge) as exc:
+        except (ValueError, TooLarge, OverflowError) as exc:  # a float plus an int beyond float range overflows
             results.append((type(exc), str(exc)))
     return results
 
@@ -841,10 +844,17 @@ def outcomes(model: QuboModel, assignments: list[str], frozen: bool) -> list:
 @st.composite
 def hand_models(draw) -> QuboModel:
     """Models built in code: keys in any order, (b, a) and (a, a) pairs, zero
-    coefficients, and ints, big ints and floats mixed."""
+    coefficients, and ints, big ints, a 400-digit int, bools and floats mixed."""
     m = draw(st.integers(1, 10))
     index = st.integers(0, m - 1)
-    values = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-(2**70), 2**70), st.floats(-1e6, 1e6))
+    values = st.one_of(
+        st.just(0),
+        st.integers(-50, 50),
+        st.integers(-(2**70), 2**70),
+        st.floats(-1e6, 1e6),
+        st.booleans(),
+        st.just(-(10**399) - 7),
+    )
     linear = draw(st.dictionaries(index, values, max_size=m))
     quadratic = draw(st.dictionaries(st.tuples(index, index), values, max_size=20))
     offset = draw(st.one_of(st.integers(-(2**70), 2**70), st.floats(-1e6, 1e6)))
@@ -942,10 +952,49 @@ class TestArrayBackedModels:
     def test_sparse_indices_get_no_name_table(self):
         # one name per possible index would cost O(num_vars) for two terms
         columns = (np.array([10**6 - 1]), np.array([3]))
-        assert _index_names(columns, str) == [[10**6 - 1], [3]]
+        table, codes = _index_codes(columns)
+        assert table.tolist() == [3, 10**6 - 1]
+        assert [table[c].tolist() for c in codes] == [[10**6 - 1], [3]]
         model = parse_model(f"QUBO {10**6} 0 1\nL {10**6 - 1} 5\nQ 3 {10**6 - 1} -1\n")
         assert export_model(model) == f"QUBO {10**6} 0 1\nL {10**6 - 1} 5\nQ 3 {10**6 - 1} -1\n"
         assert (model.linear, model.quadratic) == ({10**6 - 1: 5}, {(3, 10**6 - 1): -1})
+
+
+def exports_alike(make) -> None:
+    """``export_model`` matches the per-term writer on a fresh model (arrays
+    kept, if it keeps any) and again once its dicts have been read."""
+    model = make()
+    fresh = export_model(model)
+    assert fresh == frozen_export(model)  # frozen_export reads the dicts
+    assert export_model(model) == fresh
+
+
+class TestExportText:
+    def test_sparse_indices_far_above_the_term_count(self):
+        m = 10**9
+        linear = {m - 1: 5, 3: True, 70_000: 0.25}
+        quadratic = {(3, m - 1): -1, (70_000, 12): 2**70, (5, 5): 7, (12, 70_000): 0}
+        exports_alike(lambda: QuboModel(m, dict(linear), dict(quadratic), 0, 1))
+        text = f"QUBO {m} 0 1\nL 3 1\nL 70000 4\nL {m - 1} 5\nQ 3 {m - 1} -1\nQ 12 70000 9\n"
+        exports_alike(lambda: parse_model(text))
+        assert export_model(parse_model(text)) == text
+
+    @pytest.mark.parametrize(
+        "linear, quadratic",
+        [({}, {(0, 2): -3, (1, 2): 4}), ({0: 1, 2: -2.5}, {}), ({}, {}), ({1: 0}, {(0, 1): 0})],
+    )
+    def test_empty_term_kinds(self, linear, quadratic):
+        exports_alike(lambda: QuboModel(3, dict(linear), dict(quadratic), -4, 2))
+        text = frozen_export(QuboModel(3, linear, quadratic, -4, 2))
+        exports_alike(lambda: parse_model(text))
+        assert export_model(parse_model(text)) == text
+
+    @pytest.mark.parametrize("penalty", [AUTO, 0.1, 10**400], ids=["auto", "0.1", "10**400"])
+    @pytest.mark.parametrize("size", [(12, 3, 25), (15, 4, 40)])
+    def test_built_family_models(self, size, penalty):
+        inst = family_instance(random.Random(sum(size)), *size)
+        exports_alike(lambda: build_qubo(inst, penalty))
+
 
 def test_energy_values_are_integers_for_integer_instances(triangle):
     model = build_qubo(triangle)
