@@ -23,6 +23,7 @@ exact optimum doubles as ground truth for the closed-form estimates.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection, Mapping, MutableMapping
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Union
@@ -96,45 +97,106 @@ class VariableMap:
 Number = Union[int, float]
 
 
+class _Terms(MutableMapping):
+    """One kind of a model's terms: index (linear) or index pair
+    (quadratic) -> coefficient.
+
+    It holds the terms as key columns plus a value column of numpy arrays,
+    as a dict, or as both.  ``len`` reads whichever it has.  The first item
+    read builds the dict from the arrays and keeps both; the first edit
+    drops the arrays, and from then on the dict is the terms.
+    :func:`_term_arrays` keeps the arrays it builds from the dict until the
+    next edit.  Reads, edits and ``==`` answer as the dict would; for
+    dict-only methods such as ``copy`` or ``|``, take ``dict(terms)``.
+    """
+
+    def __init__(self, arrays: tuple[np.ndarray, ...] | None = None, items: dict | None = None) -> None:
+        self._arrays = arrays
+        self._dict = items
+
+    def _items(self) -> dict:
+        if self._dict is None:
+            self._dict = _array_dict(self._arrays)
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self._arrays[-1]) if self._dict is None else len(self._dict)
+
+    def __getitem__(self, key):
+        return self._items()[key]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def keys(self):
+        return self._items().keys()
+
+    def items(self):
+        return self._items().items()
+
+    def values(self):
+        return self._items().values()
+
+    def __setitem__(self, key, value) -> None:
+        self._items()[key] = value
+        self._arrays = None
+
+    def __delitem__(self, key) -> None:
+        del self._items()[key]
+        self._arrays = None
+
+    def popitem(self) -> tuple:
+        item = self._items().popitem()  # the last item, as a dict pops
+        self._arrays = None
+        return item
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Terms):
+            if self._arrays is not None and other._arrays is not None and _same_arrays(self._arrays, other._arrays):
+                return True
+            other = other._items()
+        return self._items() == other
+
+    def __repr__(self) -> str:
+        return repr(self._items())
+
+
+def _same_arrays(mine: tuple[np.ndarray, ...], theirs: tuple[np.ndarray, ...]) -> bool:
+    """True if two term arrays hold equal keys in the same order and values
+    that are equal in a dtype they share.  Values of different dtypes are
+    not compared here: int64 ``2**53 + 1`` equals float64 ``2**53`` in numpy
+    but not in Python, and object arrays compare without the identity check
+    that dicts make."""
+    import numpy as np
+    return (
+        len(mine) == len(theirs)
+        and mine[-1].dtype == theirs[-1].dtype != object
+        and all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+    )
+
+
 @dataclass
 class QuboModel:
     """An explicit quadratic pseudo-Boolean model.
 
     ``linear`` maps flat indices to coefficients and ``quadratic`` maps
     index pairs ``(a, b)`` with ``a < b``; ``offset`` is the constant term
-    and ``penalty`` the scale applied to every constraint.  Models built
-    from an instance, and models read back from text that ``export_model``
-    wrote, list their terms in ascending index order and keep them as
-    arrays until either dict is read; from then on the dicts are the model.
+    and ``penalty`` the scale applied to every constraint.  Both term fields
+    are mutable mappings, not necessarily dicts; ``dict(model.linear)``
+    gives a plain dict.  Built models, and models read back from text that
+    ``export_model`` wrote, list their terms in ascending index order and
+    keep them as arrays: reading a term keeps the arrays, and editing one
+    drops them, so that from then on the edited mapping is the model.
     Built models carry a ``var_map``, which only ``decode_routes`` needs;
     models read back from text do not, and evaluate and solve the same way.
     """
 
     num_vars: int
-    linear: dict[int, Number]
-    quadratic: dict[tuple[int, int], Number]
+    linear: MutableMapping[int, Number]
+    quadratic: MutableMapping[tuple[int, int], Number]
     offset: Number
     penalty: Number
     var_map: VariableMap | None = None
-
-    def __getattr__(self, name: str) -> dict:
-        # Runs only for an attribute not set: the dicts of a model keeping arrays.
-        if name not in ("linear", "quadratic") or "_arrays" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__.update(zip(("linear", "quadratic"), _term_dicts(*self.__dict__.pop("_arrays"))))
-        return self.__dict__[name]
-
-    def __setattr__(self, name: str, value: object) -> None:
-        if name in ("linear", "quadratic") and "_arrays" in self.__dict__:
-            getattr(self, name)  # builds the other dict before this one is replaced
-        super().__setattr__(name, value)
-
-
-def _kept_model(num_vars: int, arrays: tuple, offset: Number, penalty: Number, var_map=None) -> QuboModel:
-    """A model keeping its terms as :func:`_term_arrays` arrays until a dict is read."""
-    model = object.__new__(QuboModel)
-    model.__dict__.update(num_vars=num_vars, offset=offset, penalty=penalty, var_map=var_map, _arrays=arrays)
-    return model
 
 
 def _auto_penalty(inst: CvrpInstance) -> int:
@@ -223,7 +285,7 @@ def build_qubo(inst: CvrpInstance, penalty: Number | str = AUTO, *, forbid_two_c
 
     lin_at, lin_sum = _accumulate(lin_keys, lin_vals)
     quad_at, quad_sum = _accumulate(quad_keys, quad_vals)
-    return _kept_model(m, (lin_at, lin_sum, quad_at // m, quad_at % m, quad_sum), offset, scale, vmap)
+    return QuboModel(m, _Terms((lin_at, lin_sum)), _Terms((quad_at // m, quad_at % m, quad_sum)), offset, scale, vmap)
 
 
 def _accumulate(keys: list[np.ndarray], values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -245,15 +307,15 @@ def _accumulate(keys: list[np.ndarray], values: list[np.ndarray]) -> tuple[np.nd
     return keys[first][nonzero], sums[nonzero]
 
 
-def _term_dicts(*arrays: np.ndarray) -> tuple[dict[int, Number], dict[tuple[int, int], Number]]:
-    """Plain term dicts, in array order, from :func:`_term_arrays` arrays;
+def _array_dict(arrays: tuple[np.ndarray, ...]) -> dict:
+    """A plain dict, in array order, from key columns and a value column;
     the keys share one int object per index."""
     import numpy as np
-    lin_idx, lin_val, q_a, q_b, q_val = arrays
-    table, codes = _index_codes((lin_idx, q_a, q_b))
+    *columns, values = arrays
+    table, codes = _index_codes(tuple(columns))
     names = np.array(table.tolist(), dtype=object)
-    lin_names, a_names, b_names = (names[c].tolist() for c in codes)
-    return dict(zip(lin_names, lin_val.tolist())), dict(zip(zip(a_names, b_names), q_val.tolist()))
+    keys = [names[c].tolist() for c in codes]
+    return dict(zip(keys[0] if len(keys) == 1 else zip(*keys), values.tolist()))
 
 
 def _index_codes(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -270,20 +332,13 @@ def _index_codes(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, list[np.n
 
 
 def _term_arrays(model: QuboModel) -> tuple[np.ndarray, ...]:
-    """``(lin_idx, lin_val, q_a, q_b, q_val)``: the arrays a model keeps, or
-    ones built from its dicts in dict order.  ``ValueError`` names the first
-    index outside the model; numpy would let a negative one alias another."""
+    """``(lin_idx, lin_val, q_a, q_b, q_val)``: the arrays each term kind
+    keeps, or ones built from its mapping in mapping order.  ``ValueError``
+    names the first index outside the model; numpy would let a negative one
+    alias another."""
     import numpy as np
     m = model.num_vars
-    arrays = model.__dict__.get("_arrays")
-    if arrays is None:
-        lin, quad = model.linear, model.quadratic
-        try:
-            lin_idx = np.fromiter(lin, np.int64, len(lin))
-            pairs = np.fromiter(chain.from_iterable(quad), np.int64, 2 * len(quad))
-        except OverflowError:  # an index past int64, so outside the model: kept exact to name it
-            lin_idx, pairs = (np.array(list(keys), dtype=object) for keys in (lin, chain.from_iterable(quad)))
-        arrays = (lin_idx, _coefficients(lin), pairs[0::2], pairs[1::2], _coefficients(quad))
+    arrays = (*_kind_arrays(model.linear, 1), *_kind_arrays(model.quadratic, 2))
     for what, keys in (("linear index {}", arrays[:1]), ("quadratic index pair ({}, {})", arrays[2:4])):
         if any(k.size and (k.min() < 0 or k.max() >= m) for k in keys):
             first = np.argmax(np.logical_or.reduce([(k < 0) | (k >= m) for k in keys]))
@@ -291,15 +346,35 @@ def _term_arrays(model: QuboModel) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _coefficients(terms: dict) -> np.ndarray:
-    # int64 when every value is an int that fits, else the values themselves
+def _kind_arrays(terms: Mapping, width: int) -> tuple[np.ndarray, ...]:
+    """The ``width`` key columns and the value column of one term kind: the
+    arrays a :class:`_Terms` holds, or ones built from the mapping in its
+    order, which a ``_Terms`` then keeps until its next edit."""
     import numpy as np
+    if isinstance(terms, _Terms) and terms._arrays is not None:
+        return terms._arrays
+    keys = list(chain.from_iterable(terms) if width > 1 else terms)
     try:
-        if set(map(type, terms.values())) <= {int}:
-            return np.fromiter(terms.values(), np.int64, len(terms))
+        flat = np.fromiter(keys, np.int64, len(keys))
+    except OverflowError:  # an index past int64, so outside the model: kept exact to name it
+        flat = np.array(keys, dtype=object)
+    arrays = (*(flat[i::width] for i in range(width)), _coefficients(terms.values()))
+    if isinstance(terms, _Terms):
+        terms._arrays = arrays
+    return arrays
+
+
+def _coefficients(values: Collection) -> np.ndarray:
+    # int64 when every value is an int that fits, float64 when every value
+    # is a float, else the values themselves
+    import numpy as np
+    types = set(map(type, values))
+    try:
+        if types <= {int}:
+            return np.fromiter(values, np.int64, len(values))
     except OverflowError:
         pass
-    return np.fromiter(terms.values(), object, len(terms))
+    return np.fromiter(values, np.float64 if types == {float} else object, len(values))
 
 
 def _check_assignment(model: QuboModel, assignment: str) -> list[int]:
@@ -814,6 +889,8 @@ def parse_model(text: str) -> QuboModel:
     if not penalty > 0:
         raise ValueError(f"model line {head_no}: penalty must be positive")
     if lines is None and (arrays := _canonical_terms(body, num_vars)) is not None:
-        return _kept_model(num_vars, arrays, offset, penalty)
-    lines = enumerate(body.splitlines(), start=2) if lines is None else lines
-    return QuboModel(num_vars, *_parse_lines(lines, num_vars), offset, penalty)
+        linear, quadratic = _Terms(arrays[:2]), _Terms(arrays[2:])
+    else:
+        lines = enumerate(body.splitlines(), start=2) if lines is None else lines
+        linear, quadratic = (_Terms(items=terms) for terms in _parse_lines(lines, num_vars))
+    return QuboModel(num_vars, linear, quadratic, offset, penalty)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -40,6 +42,8 @@ from qcvrp.qubo import (
     VarIndex,
     _canonical_terms,
     _index_codes,
+    _term_arrays,
+    _Terms,
 )
 from routing_oracle import best_routes_cost
 from test_acceptance import small_family
@@ -862,11 +866,11 @@ def hand_models(draw) -> QuboModel:
 
 
 @st.composite
-def model_makers(draw):
+def model_makers(draw, kinds=("built", "read back", "line parser", "hand-built")):
     """A function that makes a fresh model, and its variable count: built
     (int64, wide object arrays, float penalties), read back through the
     fast path or the line parser, or built in code."""
-    kind = draw(st.sampled_from(["built", "read back", "line parser", "hand-built"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "hand-built":
         model = draw(hand_models())
         return (lambda: dataclasses.replace(model)), model.num_vars
@@ -882,6 +886,21 @@ def model_makers(draw):
     return (lambda: parse_model(text)), parse_model(text).num_vars
 
 
+# Reads and edits that a term mapping and a plain dict must answer alike.
+TERM_ACTIONS = {
+    "len": lambda terms, key, value: len(terms),
+    "[]": lambda terms, key, value: terms[key] if key in terms else None,
+    "items": lambda terms, key, value: list(terms.items()),
+    "[]=": lambda terms, key, value: terms.__setitem__(key, value),
+    "del": lambda terms, key, value: key in terms and terms.__delitem__(key),
+    "pop": lambda terms, key, value: terms.pop(key, "missing"),
+    "update": lambda terms, key, value: terms.update({key: value}),
+    "setdefault": lambda terms, key, value: terms.setdefault(key, value),
+    "popitem": lambda terms, key, value: terms and terms.popitem(),
+    "clear": lambda terms, key, value: terms.clear(),
+}
+
+
 class TestArrayBackedModels:
     @settings(max_examples=120, deadline=None)
     @given(model_makers(), st.data())
@@ -893,7 +912,7 @@ class TestArrayBackedModels:
         fresh = outcomes(model, assignments, frozen=False)  # before any dict is read
         frozen = outcomes(model, assignments, frozen=True)
         assert fresh == frozen
-        assert outcomes(model, assignments, frozen=False) == frozen  # the dicts are now the model
+        assert outcomes(model, assignments, frozen=False) == frozen  # once the terms have been read
 
     def test_fifteen_digit_coefficients_summing_past_int64(self):
         # 11 175 selected terms of 999999999999999 sum to ~1.1e19 > 2**63
@@ -910,7 +929,7 @@ class TestArrayBackedModels:
 
     def test_edits_after_the_first_read_are_followed(self, triangle):
         model = build_qubo(triangle)
-        model.linear[6] += 1  # the first read: from now on the dicts are the model
+        model.linear[6] += 1  # the first edit: from now on the dicts are the model
         model.linear[7] = 0
         del model.quadratic[next(iter(model.quadratic))]
         model.quadratic[(3, 3)] = -2
@@ -937,17 +956,121 @@ class TestArrayBackedModels:
             parse_model(text).lienar
 
     def test_reading_and_solving_build_no_dicts(self, triangle, monkeypatch):
-        built = []
-        real = qubo_module._term_dicts
-        monkeypatch.setattr(qubo_module, "_term_dicts", lambda *arrays: built.append(1) or real(*arrays))
-        model = parse_model(export_model(build_qubo(triangle)))
+        dicts, arrays = [], []  # one entry per term kind converted
+        real_dict, real_values = qubo_module._array_dict, qubo_module._coefficients
+        monkeypatch.setattr(qubo_module, "_array_dict", lambda *a: dicts.append(1) or real_dict(*a))
+        monkeypatch.setattr(qubo_module, "_coefficients", lambda *a: arrays.append(1) or real_values(*a))
+        text = export_model(build_qubo(triangle))
+        model = parse_model(text)
         assert count_terms(model) == (8, 20)
         assert energy(model, OPT_TOUR_BITS) == 12
-        assert export_model(model).startswith("QUBO 8 240 30\n")
         assert brute_force_solve(model) == (OPT_TOUR_BITS, 12)
-        assert built == []
         assert len(model.linear) == 8 and len(model.quadratic) == 20
-        assert built == [1]
+        assert model == parse_model(text)
+        assert dicts == []
+        assert model.quadratic[0, 1] == 60  # a read builds that kind's dict and keeps its arrays
+        assert dicts == [1]
+        assert export_model(model) == text
+        assert arrays == []
+        model.linear[0] += 0  # an edit drops the arrays; the next call builds them once
+        assert export_model(model) == text and energy(model, OPT_TOUR_BITS) == 12
+        assert (dicts, arrays) == ([1, 1], [1])
+        line_read = parse_model(text.replace("\n", "\n\n"))  # the line parser: dicts, no arrays
+        assert export_model(line_read) == text and count_terms(line_read) == (8, 20)
+        assert arrays == [1, 1, 1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(model_makers(kinds=("built", "read back", "line parser")), st.data())
+    def test_reads_and_edits_match_a_plain_dict_copy(self, maker, data):
+        make, m = maker
+        other = make()
+        model, twin = make(), dataclasses.replace(other, linear=dict(other.linear), quadratic=dict(other.quadratic))
+        assignments = ["1" * m, data.draw(st.text(alphabet="01", min_size=m, max_size=m))]
+        index = st.integers(0, m - 1)
+        values = st.one_of(st.just(0), st.integers(-50, 50), st.floats(-1e3, 1e3))
+        for _ in range(data.draw(st.integers(1, 8))):
+            field = data.draw(st.sampled_from(["linear", "quadratic"]))
+            plain = getattr(twin, field)
+            new_key = index if field == "linear" else st.tuples(index, index)
+            key = data.draw(st.sampled_from(list(plain)) | new_key if plain else new_key)
+            value = data.draw(values)
+            action = data.draw(st.sampled_from([*TERM_ACTIONS, "reassign", "evaluate"]))
+            if action == "reassign":
+                setattr(model, field, {**plain, key: value})
+                setattr(twin, field, {**plain, key: value})
+            elif action == "evaluate":
+                assert outcomes(model, assignments, frozen=False) == outcomes(twin, assignments, frozen=False)
+            else:
+                act = TERM_ACTIONS[action]
+                assert act(getattr(model, field), key, value) == act(plain, key, value)
+        assert outcomes(model, assignments, frozen=False) == outcomes(twin, assignments, frozen=False)
+        for field in ("linear", "quadratic"):
+            terms, plain = getattr(model, field), getattr(twin, field)
+            assert terms == plain and plain == terms
+            assert list(terms.items()) == list(plain.items()) and repr(terms) == repr(plain)
+
+    def test_equality_follows_the_dicts(self, triangle):
+        built = build_qubo(triangle)
+        same = parse_model(export_model(built))
+        assert built.quadratic == same.quadratic and dict(built.quadratic) == same.quadratic
+        assert same.quadratic == dict(built.quadratic) and built.linear != same.quadratic
+        reordered = dict(reversed(list(built.linear.items())))
+        assert same.linear == reordered and reordered == same.linear
+        reordered[0] += 1
+        assert same.linear != reordered and reordered != same.linear
+        assert same.linear != list(same.linear) and same.linear != None  # noqa: E711
+
+        def terms(*values, dtype=None):
+            return _Terms((np.arange(len(values)), np.array(values, dtype=dtype)))
+
+        # numpy calls int64 2**53 + 1 equal to float64 2**53, Python does not
+        assert terms(2**53 + 1) != terms(2.0**53) and terms(2.0**53) != terms(2**53 + 1)
+        assert terms(2**53 + 1) == terms(2**53 + 1) and terms(2**53 + 1) != terms(2**53)
+        assert terms(2**53 + 1) != {0: 2.0**53} and {0: 2.0**53} != terms(2**53 + 1)
+        assert terms(3, 0.5) == terms(3.0, 0.5) == {0: 3, 1: 0.5}
+        nan = float("nan")  # dicts compare values by identity first, numpy does not
+        assert terms(nan, dtype=object) == terms(nan, dtype=object) == {0: nan}
+        assert terms(nan) != terms(nan)
+        assert terms(True, 10**30, dtype=object) == terms(1, 10**30, dtype=object)
+        assert _Terms((np.array([1, 0]), np.array([4, 3]))) == terms(3, 4)
+
+    def test_copies_and_replacements(self, triangle):
+        built = build_qubo(triangle)
+        text = export_model(built)
+        for model in (built, parse_model(text), parse_model(text.replace(" ", "  "))):
+            plain = dict(model.quadratic)
+            assert type(plain) is dict and list(plain) == sorted(plain) and len(plain) == len(model.quadratic)
+            for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+                assert (twin.linear, twin.quadratic) == (model.linear, model.quadratic)
+                assert export_model(twin) == text
+                twin.linear[0] += 1
+                assert export_model(twin) != text and export_model(model) == text
+            replaced = dataclasses.replace(model, penalty=7)
+            assert replaced.quadratic is model.quadratic and export_model(replaced).startswith("QUBO 8 240 7\n")
+            assert dataclasses.replace(model, linear={}).quadratic == plain
+        read_back = parse_model(text)
+        assert copy.deepcopy(read_back) == read_back == pickle.loads(pickle.dumps(read_back))
+        assert repr(copy.deepcopy(read_back)) == repr(read_back)
+
+    def test_float_terms_rebuild_as_float64(self, monkeypatch):
+        inst = family_instance(random.Random(40), 12, 3, 25)
+        built = build_qubo(inst, 0.1)
+        models = [
+            lambda: dataclasses.replace(built, linear=dict(built.linear), quadratic=dict(built.quadratic)),
+            lambda: parse_model("QUBO 3 0.5 1\nQ 0 2 -1.5\nL 1 0.25\n"),  # read line by line
+        ]
+        assert all(a.dtype == np.float64 for make in models for a in _term_arrays(make())[1::3])
+        assignments = ["0" * 543, "1" * 543, "".join(random.Random(7).choices("01", k=543))]
+
+        def results():
+            fresh = [make() for make in models]
+            return [outcomes(model, [a[: model.num_vars] for a in assignments], frozen=False) for model in fresh]
+
+        floats = results()
+        assert floats[0][-1] == (export_model(built), str)
+        with monkeypatch.context() as patch:  # every value as the object it is
+            patch.setattr(qubo_module, "_coefficients", lambda values: np.fromiter(values, object, len(values)))
+            assert results() == floats
 
     def test_sparse_indices_get_no_name_table(self):
         # one name per possible index would cost O(num_vars) for two terms
