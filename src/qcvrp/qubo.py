@@ -106,8 +106,9 @@ class _Terms(MutableMapping):
     read builds the dict from the arrays and keeps both; the first edit
     drops the arrays, and from then on the dict is the terms.
     :func:`_term_arrays` keeps the arrays it builds from the dict until the
-    next edit.  Reads, edits and ``==`` answer as the dict would; for
-    dict-only methods such as ``copy`` or ``|``, take ``dict(terms)``.
+    next edit.  Reads, edits, ``==`` and ``copy.copy`` answer as the dict
+    would; for dict-only methods such as ``copy`` or ``|``, take
+    ``dict(terms)``.
     """
 
     def __init__(self, arrays: tuple[np.ndarray, ...] | None = None, items: dict | None = None) -> None:
@@ -159,6 +160,10 @@ class _Terms(MutableMapping):
 
     def __repr__(self) -> str:
         return repr(self._items())
+
+    def __copy__(self) -> _Terms:
+        # the arrays are never written in place, so the copy may share them
+        return _Terms(self._arrays, None if self._dict is None else dict(self._dict))
 
 
 def _same_arrays(mine: tuple[np.ndarray, ...], theirs: tuple[np.ndarray, ...]) -> bool:
@@ -365,16 +370,14 @@ def _kind_arrays(terms: Mapping, width: int) -> tuple[np.ndarray, ...]:
 
 
 def _coefficients(values: Collection) -> np.ndarray:
-    # int64 when every value is an int that fits, float64 when every value
-    # is a float, else the values themselves
+    # int64 when every value is an int that fits, else the values themselves
     import numpy as np
-    types = set(map(type, values))
     try:
-        if types <= {int}:
+        if set(map(type, values)) <= {int}:
             return np.fromiter(values, np.int64, len(values))
     except OverflowError:
         pass
-    return np.fromiter(values, np.float64 if types == {float} else object, len(values))
+    return np.fromiter(values, object, len(values))
 
 
 def _check_assignment(model: QuboModel, assignment: str) -> list[int]:

@@ -896,6 +896,7 @@ TERM_ACTIONS = {
     "pop": lambda terms, key, value: terms.pop(key, "missing"),
     "update": lambda terms, key, value: terms.update({key: value}),
     "setdefault": lambda terms, key, value: terms.setdefault(key, value),
+    "copy": lambda terms, key, value: dict((twin := copy.copy(terms)).update({key: value}) or twin),
     "popitem": lambda terms, key, value: terms and terms.popitem(),
     "clear": lambda terms, key, value: terms.clear(),
 }
@@ -966,7 +967,7 @@ class TestArrayBackedModels:
         assert energy(model, OPT_TOUR_BITS) == 12
         assert brute_force_solve(model) == (OPT_TOUR_BITS, 12)
         assert len(model.linear) == 8 and len(model.quadratic) == 20
-        assert model == parse_model(text)
+        assert model == parse_model(text)  # equal arrays of one dtype need no dict
         assert dicts == []
         assert model.quadratic[0, 1] == 60  # a read builds that kind's dict and keeps its arrays
         assert dicts == [1]
@@ -1052,25 +1053,21 @@ class TestArrayBackedModels:
         assert copy.deepcopy(read_back) == read_back == pickle.loads(pickle.dumps(read_back))
         assert repr(copy.deepcopy(read_back)) == repr(read_back)
 
-    def test_float_terms_rebuild_as_float64(self, monkeypatch):
-        inst = family_instance(random.Random(40), 12, 3, 25)
-        built = build_qubo(inst, 0.1)
-        models = [
-            lambda: dataclasses.replace(built, linear=dict(built.linear), quadratic=dict(built.quadratic)),
-            lambda: parse_model("QUBO 3 0.5 1\nQ 0 2 -1.5\nL 1 0.25\n"),  # read line by line
-        ]
-        assert all(a.dtype == np.float64 for make in models for a in _term_arrays(make())[1::3])
-        assignments = ["0" * 543, "1" * 543, "".join(random.Random(7).choices("01", k=543))]
-
-        def results():
-            fresh = [make() for make in models]
-            return [outcomes(model, [a[: model.num_vars] for a in assignments], frozen=False) for model in fresh]
-
-        floats = results()
-        assert floats[0][-1] == (export_model(built), str)
-        with monkeypatch.context() as patch:  # every value as the object it is
-            patch.setattr(qubo_module, "_coefficients", lambda values: np.fromiter(values, object, len(values)))
-            assert results() == floats
+    def test_shallow_copies_are_independent(self, triangle):
+        text = export_model(build_qubo(triangle))
+        for make in (lambda: build_qubo(triangle), lambda: parse_model(text), lambda: parse_model(text.replace(" ", "  "))):
+            for read_first in (False, True):
+                model = make()
+                if read_first:  # the original holds a dict, and arrays unless line-parsed
+                    assert model.linear[0] == 3 and (0, 1) in model.quadratic
+                twins = [copy.copy(model.linear), copy.copy(model.quadratic)]
+                twins[0][0] += 1
+                del twins[1][0, 1]
+                twins[1].update({(2, 5): 9})
+                assert type(twins[0]) is _Terms and twins[0][0] == 4 and (0, 1) not in twins[1]
+                assert model.linear[0] == 3 and model.quadratic[0, 1] == 60 and (2, 5) not in model.quadratic
+                assert export_model(model) == text and count_terms(model) == (8, 20)
+                assert twins[0] == {**model.linear, 0: 4} and len(twins[1]) == 20
 
     def test_sparse_indices_get_no_name_table(self):
         # one name per possible index would cost O(num_vars) for two terms
