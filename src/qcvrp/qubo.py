@@ -23,7 +23,7 @@ exact optimum doubles as ground truth for the closed-form estimates.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, Mapping, MutableMapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Union
@@ -53,6 +53,7 @@ class VarIndex:
     v: int
 
 
+@dataclass(frozen=True)
 class VariableMap:
     """Bijection between structured variables and flat bit positions.
 
@@ -61,12 +62,17 @@ class VariableMap:
     per vehicle.
     """
 
-    def __init__(self, nodes: int, vehicles: int, capacity: int) -> None:
-        self.nodes = nodes
-        self.vehicles = vehicles
-        self.capacity = capacity
-        self.num_route_vars = vehicles * nodes * (nodes - 1)
-        self.num_vars = self.num_route_vars + vehicles * capacity
+    nodes: int
+    vehicles: int
+    capacity: int
+
+    @property
+    def num_route_vars(self) -> int:
+        return self.vehicles * self.nodes * (self.nodes - 1)
+
+    @property
+    def num_vars(self) -> int:
+        return self.num_route_vars + self.vehicles * self.capacity
 
     def route_index(self, var: VarIndex) -> int:
         n = self.nodes
@@ -97,23 +103,20 @@ class VariableMap:
 Number = Union[int, float]
 
 
-class _Terms(MutableMapping):
-    """One kind of a model's terms: index (linear) or index pair
+class _Terms(Mapping):
+    """One kind of a model's terms, read-only: index (linear) or index pair
     (quadratic) -> coefficient.
 
-    It holds the terms as key columns plus a value column of numpy arrays,
-    as a dict, or as both.  ``len`` reads whichever it has.  The first item
-    read builds the dict from the arrays and keeps both; the first edit
-    drops the arrays, and from then on the dict is the terms.
-    :func:`_term_arrays` keeps the arrays it builds from the dict until the
-    next edit.  Reads, edits, ``==`` and ``copy.copy`` answer as the dict
-    would; for dict-only methods such as ``copy`` or ``|``, take
-    ``dict(terms)``.
+    The terms are key columns plus a value column of numpy arrays, which
+    are never written.  ``len`` reads the array length; the first item read
+    builds a dict from the arrays, which answers every later read.  Reads
+    and ``==`` answer as that dict would; for dict-only methods such as
+    ``copy`` or ``|``, take ``dict(terms)``.
     """
 
-    def __init__(self, arrays: tuple[np.ndarray, ...] | None = None, items: dict | None = None) -> None:
+    def __init__(self, arrays: tuple[np.ndarray, ...]) -> None:
         self._arrays = arrays
-        self._dict = items
+        self._dict: dict | None = None
 
     def _items(self) -> dict:
         if self._dict is None:
@@ -121,7 +124,7 @@ class _Terms(MutableMapping):
         return self._dict
 
     def __len__(self) -> int:
-        return len(self._arrays[-1]) if self._dict is None else len(self._dict)
+        return len(self._arrays[-1])
 
     def __getitem__(self, key):
         return self._items()[key]
@@ -138,32 +141,15 @@ class _Terms(MutableMapping):
     def values(self):
         return self._items().values()
 
-    def __setitem__(self, key, value) -> None:
-        self._items()[key] = value
-        self._arrays = None
-
-    def __delitem__(self, key) -> None:
-        del self._items()[key]
-        self._arrays = None
-
-    def popitem(self) -> tuple:
-        item = self._items().popitem()  # the last item, as a dict pops
-        self._arrays = None
-        return item
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _Terms):
-            if self._arrays is not None and other._arrays is not None and _same_arrays(self._arrays, other._arrays):
+            if _same_arrays(self._arrays, other._arrays):
                 return True
             other = other._items()
         return self._items() == other
 
     def __repr__(self) -> str:
         return repr(self._items())
-
-    def __copy__(self) -> _Terms:
-        # the arrays are never written in place, so the copy may share them
-        return _Terms(self._arrays, None if self._dict is None else dict(self._dict))
 
 
 def _same_arrays(mine: tuple[np.ndarray, ...], theirs: tuple[np.ndarray, ...]) -> bool:
@@ -187,18 +173,19 @@ class QuboModel:
     ``linear`` maps flat indices to coefficients and ``quadratic`` maps
     index pairs ``(a, b)`` with ``a < b``; ``offset`` is the constant term
     and ``penalty`` the scale applied to every constraint.  Both term fields
-    are mutable mappings, not necessarily dicts; ``dict(model.linear)``
-    gives a plain dict.  Built models, and models read back from text that
-    ``export_model`` wrote, list their terms in ascending index order and
-    keep them as arrays: reading a term keeps the arrays, and editing one
-    drops them, so that from then on the edited mapping is the model.
+    are mappings, not necessarily dicts; ``dict(model.linear)`` gives a
+    plain dict.  Built and parsed models hold read-only mappings backed by
+    arrays; to change a model, assign a new mapping, as in
+    ``dataclasses.replace(model, linear={**model.linear, 6: c})``.  Built
+    models, and models read back from text that ``export_model`` wrote,
+    list their terms in ascending index order.
     Built models carry a ``var_map``, which only ``decode_routes`` needs;
     models read back from text do not, and evaluate and solve the same way.
     """
 
     num_vars: int
-    linear: MutableMapping[int, Number]
-    quadratic: MutableMapping[tuple[int, int], Number]
+    linear: Mapping[int, Number]
+    quadratic: Mapping[tuple[int, int], Number]
     offset: Number
     penalty: Number
     var_map: VariableMap | None = None
@@ -338,7 +325,7 @@ def _index_codes(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, list[np.n
 
 def _term_arrays(model: QuboModel) -> tuple[np.ndarray, ...]:
     """``(lin_idx, lin_val, q_a, q_b, q_val)``: the arrays each term kind
-    keeps, or ones built from its mapping in mapping order.  ``ValueError``
+    holds, or ones built from its mapping in mapping order.  ``ValueError``
     names the first index outside the model; numpy would let a negative one
     alias another."""
     import numpy as np
@@ -354,19 +341,16 @@ def _term_arrays(model: QuboModel) -> tuple[np.ndarray, ...]:
 def _kind_arrays(terms: Mapping, width: int) -> tuple[np.ndarray, ...]:
     """The ``width`` key columns and the value column of one term kind: the
     arrays a :class:`_Terms` holds, or ones built from the mapping in its
-    order, which a ``_Terms`` then keeps until its next edit."""
+    order."""
     import numpy as np
-    if isinstance(terms, _Terms) and terms._arrays is not None:
+    if isinstance(terms, _Terms):
         return terms._arrays
     keys = list(chain.from_iterable(terms) if width > 1 else terms)
     try:
         flat = np.fromiter(keys, np.int64, len(keys))
     except OverflowError:  # an index past int64, so outside the model: kept exact to name it
         flat = np.array(keys, dtype=object)
-    arrays = (*(flat[i::width] for i in range(width)), _coefficients(terms.values()))
-    if isinstance(terms, _Terms):
-        terms._arrays = arrays
-    return arrays
+    return (*(flat[i::width] for i in range(width)), _coefficients(terms.values()))
 
 
 def _coefficients(values: Collection) -> np.ndarray:
@@ -686,10 +670,8 @@ def decode_routes(model: QuboModel, assignment: str, inst: CvrpInstance) -> Rout
 
 
 def _format_number(value: Number) -> str:
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
+    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        return str(int(value))  # True is written 1, 2.0 is written 2
     return repr(value)
 
 
@@ -891,9 +873,9 @@ def parse_model(text: str) -> QuboModel:
     penalty = _parse_number(head[3], head_no)
     if not penalty > 0:
         raise ValueError(f"model line {head_no}: penalty must be positive")
-    if lines is None and (arrays := _canonical_terms(body, num_vars)) is not None:
-        linear, quadratic = _Terms(arrays[:2]), _Terms(arrays[2:])
-    else:
+    arrays = _canonical_terms(body, num_vars) if lines is None else None
+    if arrays is None:
         lines = enumerate(body.splitlines(), start=2) if lines is None else lines
-        linear, quadratic = (_Terms(items=terms) for terms in _parse_lines(lines, num_vars))
-    return QuboModel(num_vars, linear, quadratic, offset, penalty)
+        linear, quadratic = _parse_lines(lines, num_vars)
+        arrays = (*_kind_arrays(linear, 1), *_kind_arrays(quadratic, 2))
+    return QuboModel(num_vars, _Terms(arrays[:2]), _Terms(arrays[2:]), offset, penalty)

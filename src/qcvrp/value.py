@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,12 +33,14 @@ def optimality_gap(
     """Percentage gap between a solution value and a lower bound.
 
     ``100 * (solution - lower_bound) / solution`` by default;
-    ``GapDenominator.LOWER_BOUND`` divides by the bound instead.
+    ``GapDenominator.LOWER_BOUND`` divides by the bound instead.  Both
+    values must be positive and, if floats, finite.
     """
-    if not solution > 0:
-        raise ValueError("solution value must be positive")
-    if not lower_bound > 0:
-        raise ValueError("lower bound must be positive")
+    for name, number in (("solution value", solution), ("lower bound", lower_bound)):
+        if isinstance(number, float) and not math.isfinite(number):
+            raise ValueError(f"{name} must be finite")
+        if not number > 0:
+            raise ValueError(f"{name} must be positive")
     diff = solution - lower_bound
     if denominator is GapDenominator.SOLUTION:
         return 100.0 * diff / solution
@@ -65,7 +68,8 @@ def gap_records_from_csv(
     """Read gap records from CSV with columns ``instance,bks,lower_bound``.
 
     The gap itself is computed, not read, so one file serves both
-    denominator conventions.
+    denominator conventions.  A row whose values are not numbers, or not
+    finite and positive, raises ``SchemaError`` naming its instance.
     """
     reader = csv.DictReader(io.StringIO(text))
     fields = reader.fieldnames or []
@@ -74,19 +78,22 @@ def gap_records_from_csv(
             raise SchemaError(column, "required CSV column missing")
     records: list[GapRecord] = []
     for row in reader:
+        name = row.get("instance") or "?"
         try:
             bks = float(row["bks"])
             lower = float(row["lower_bound"])
         except (TypeError, ValueError):
-            raise SchemaError(
-                row.get("instance") or "?", "bks and lower_bound must be numbers"
-            ) from None
+            raise SchemaError(name, "bks and lower_bound must be numbers") from None
+        try:
+            gap = optimality_gap(bks, lower, denominator)
+        except ValueError as exc:
+            raise SchemaError(name, str(exc)) from None
         records.append(
             GapRecord(
                 instance_name=(row["instance"] or "").strip(),
                 bks=bks,
                 lower_bound=lower,
-                gap_percent=optimality_gap(bks, lower, denominator),
+                gap_percent=gap,
             )
         )
     return records
@@ -115,7 +122,8 @@ def impact_estimate(
 
     ``improvement`` is the relative route-length reduction in [0, 1].  Fuel
     follows from consumption per 100 km, cost from the litre price, and CO2
-    from kilograms emitted per litre (reported in tonnes).
+    from kilograms emitted per litre (reported in tonnes).  Every value
+    must be a nonnegative number, finite if a float.
     """
     values = {
         "baseline_km": baseline_km,
@@ -127,6 +135,8 @@ def impact_estimate(
     for name, value in values.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"{name} must be a number")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
         if value < 0:
             raise ValueError(f"{name} must be nonnegative")
     if improvement > 1:

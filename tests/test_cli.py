@@ -350,6 +350,11 @@ class TestValue:
         assert code == 1
         assert "error:" in err
 
+    def test_non_finite_input(self, capsys):
+        code, out, err = run_cli(capsys, "value", "--km", "nan", "--delta", "0.1")
+        assert (code, out) == (1, "")
+        assert "baseline_km must be finite" in err
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):

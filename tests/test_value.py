@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from benchmark_data import GAP_ROWS
@@ -41,7 +43,10 @@ class TestOptimalityGap:
     def test_tight_bound_means_zero_gap(self):
         assert optimality_gap(100, 100) == 0.0
 
-    @pytest.mark.parametrize("solution, lower", [(0, 1), (-5, 1), (1, 0), (1, -2)])
+    @pytest.mark.parametrize(
+        "solution, lower",
+        [(0, 1), (-5, 1), (1, 0), (1, -2), (math.inf, 5), (math.nan, 5), (5, math.inf), (5, -math.nan)],
+    )
     def test_rejects_nonpositive_values(self, solution, lower):
         with pytest.raises(ValueError):
             optimality_gap(solution, lower)
@@ -71,6 +76,10 @@ class TestGapRecords:
     def test_non_numeric_value(self):
         with pytest.raises(SchemaError, match="must be numbers"):
             gap_records_from_csv("instance,bks,lower_bound\na,xyz,1\n")
+        # numbers that are not finite and positive name their row too
+        for row, reason in [("A,inf,5", "finite"), ("A,nan,5", "finite"), ("A,0,5", "positive"), ("A,5,-inf", "finite")]:
+            with pytest.raises(SchemaError, match=rf"field: A \(.* must be {reason}\)"):
+                gap_records_from_csv(f"instance,bks,lower_bound\nB,2,1\n{row}\n")
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
@@ -116,6 +125,11 @@ class TestImpactEstimate:
             {"fuel_l_per_100km": -3},
             {"fuel_price_per_l": "x"},
             {"co2_kg_per_l": True},
+            {"baseline_km": math.nan},
+            {"improvement": math.nan},
+            {"fuel_l_per_100km": math.inf},
+            {"fuel_price_per_l": math.inf},
+            {"co2_kg_per_l": -math.inf},
         ],
     )
     def test_input_validation(self, kwargs):
