@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("solve", _solve, "exactly solve a small instance or exported model")
     p.add_argument("file", help="instance file, or a model exported by 'qubo'")
     p.add_argument("--penalty", default="auto", help="positive number, or 'auto' (instances only)")
-    p.add_argument("--max-vars", type=int, default=qubo.DEFAULT_MAX_VARS)
 
     p = command("value", _value, "fleet savings from a relative route-length improvement")
     p.add_argument("--km", type=float, required=True, help="baseline kilometres driven per year")
@@ -241,7 +240,7 @@ def _solve(args: argparse.Namespace) -> None:
     else:
         inst = parse_instance(text)
         model = qubo.build_qubo(inst, _parse_penalty(args.penalty))
-    bits, best = qubo.brute_force_solve(model, max_vars=args.max_vars)
+    bits, best = qubo.brute_force_solve(model)
     print(f"assignment: {bits}")
     print(f"energy: {best}")
     if inst is None:

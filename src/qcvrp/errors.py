@@ -60,7 +60,7 @@ class DuplicateName(CvrpError):
 
 
 class TooLarge(CvrpError):
-    """The model exceeds the size cap for exhaustive solving."""
+    """The model exceeds a size or work bound of the exact solver."""
 
 
 class LengthMismatch(CvrpError, ValueError):

@@ -33,7 +33,8 @@ from .instances import CvrpInstance, edge_weight, max_edge_weight, weight_matrix
 
 AUTO = "auto"
 
-DEFAULT_MAX_VARS = 30
+_DENSE_VARS = 1024
+_WORK_BITS = 30
 _CHUNK_BITS = 18
 
 VISIT_COUNT = "visit-count"
@@ -178,9 +179,8 @@ class QuboModel:
     arrays; to change a model, assign a new mapping, as in
     ``dataclasses.replace(model, linear={**model.linear, 6: c})``.  Built
     models, and models read back from text that ``export_model`` wrote,
-    list their terms in ascending index order.
-    Built models carry a ``var_map``, which only ``decode_routes`` needs;
-    models read back from text do not, and evaluate and solve the same way.
+    list their terms in ascending index order, and a built model equals
+    its read-back.
     """
 
     num_vars: int
@@ -188,7 +188,6 @@ class QuboModel:
     quadratic: Mapping[tuple[int, int], Number]
     offset: Number
     penalty: Number
-    var_map: VariableMap | None = None
 
 
 def _auto_penalty(inst: CvrpInstance) -> int:
@@ -198,15 +197,13 @@ def _auto_penalty(inst: CvrpInstance) -> int:
     return 2 * inst.dimension * max(1, max_edge_weight(inst))
 
 
-def build_qubo(inst: CvrpInstance, penalty: Number | str = AUTO, *, forbid_two_cycles: bool = True) -> QuboModel:
+def build_qubo(inst: CvrpInstance, penalty: Number | str = AUTO) -> QuboModel:
     """Assemble the penalty model for an instance.
 
     Variable count is ``vehicles * dimension * (dimension - 1)`` route bits
     plus ``vehicles * capacity`` slack bits.  ``penalty`` is a positive
     number, finite if a float, or ``"auto"``, which picks twice the node
-    count times the longest edge.  ``forbid_two_cycles`` keeps the
-    isolated-pair penalty on; it only exists so tests can study the plain
-    degree-constraint model.  Terms are listed in ascending index order.
+    count times the longest edge; terms are listed in ascending index order.
     """
     import numpy as np
     if penalty == AUTO:
@@ -269,15 +266,14 @@ def build_qubo(inst: CvrpInstance, penalty: Number | str = AUTO, *, forbid_two_c
         a, b = idx[p], idx[q]
         quad_keys.append(np.minimum(a, b) * m + np.maximum(a, b))
         quad_vals.append(2 * scale * c[p] * c[q])
-    if forbid_two_cycles:  # i < j, so x[v, i -> j] has the smaller index
-        i, j = np.triu_indices(nodes - 1, 1)
-        inner = arc[:, 1:, 1:]
-        quad_keys.append((inner[:, i, j] * m + inner[:, j, i]).ravel())
-        quad_vals.append(scale * np.ones(k * len(i), dtype=coeff_type))
+    i, j = np.triu_indices(nodes - 1, 1)  # i < j, so x[v, i -> j] has the smaller index
+    inner = arc[:, 1:, 1:]
+    quad_keys.append((inner[:, i, j] * m + inner[:, j, i]).ravel())
+    quad_vals.append(scale * np.ones(k * len(i), dtype=coeff_type))
 
     lin_at, lin_sum = _accumulate(lin_keys, lin_vals)
     quad_at, quad_sum = _accumulate(quad_keys, quad_vals)
-    return QuboModel(m, _Terms((lin_at, lin_sum)), _Terms((quad_at // m, quad_at % m, quad_sum)), offset, scale, vmap)
+    return QuboModel(m, _Terms((lin_at, lin_sum)), _Terms((quad_at // m, quad_at % m, quad_sum)), offset, scale)
 
 
 def _accumulate(keys: list[np.ndarray], values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -468,9 +464,7 @@ def _bits_of(indices: np.ndarray, width: int) -> np.ndarray:
     return ((indices[:, None] >> shifts[None, :]) & 1).astype(np.float64)
 
 
-def brute_force_solve(
-    model: QuboModel, max_vars: int = DEFAULT_MAX_VARS, chunk_bits: int = _CHUNK_BITS
-) -> tuple[str, Number]:
+def brute_force_solve(model: QuboModel) -> tuple[str, Number]:
     """Exact global minimum of the model.
 
     Variables with equal linear terms and identical coupling to every other
@@ -479,22 +473,25 @@ def brute_force_solve(
     Trailing groups that do not couple to each other (the slack registers
     of ``build_qubo`` models) are minimized analytically over their count
     of set bits.  The remaining bits split into a high and a low half, and
-    every (high, low) pair is evaluated, ``2**chunk_bits`` pairs per numpy
+    every (high, low) pair is evaluated, ``2**_CHUNK_BITS`` pairs per numpy
     block.  Ties go to the lexicographically smallest bitstring, independent
-    of chunking.  Raises ``TooLarge`` beyond ``max_vars`` variables and
-    ``ValueError`` on an index outside the model or a coefficient or
-    offset that is not finite as a float.
+    of chunking.  Raises ``TooLarge`` beyond ``_DENSE_VARS`` variables, or
+    when ``n`` enumerated and ``r`` reduced bits cost ``2**n * (1 + r)``
+    beyond ``2**_WORK_BITS``; raises ``ValueError`` on an index outside
+    the model or a coefficient or offset that is not finite as a float.
     """
     import numpy as np
     m = model.num_vars
     if m < 1:
         raise ValueError("the model has no variables")
-    if m > max_vars:
-        raise TooLarge(f"{m} variables exceed the cap of {max_vars}")
+    if m > _DENSE_VARS:
+        raise TooLarge(f"{m} variables exceed the dense bound of {_DENSE_VARS}")
     lin, quad, offset = _dense(model)
     owner = _interchangeable(lin, quad)
     n = _enumerated_prefix(owner, quad)
-    n_lo = min((n + 1) // 2, chunk_bits)
+    if (1 + m - n) << n > 1 << _WORK_BITS:
+        raise TooLarge(f"enumeration work 2**{n} * (1 + {m - n}) exceeds the bound of 2**{_WORK_BITS}")
+    n_lo = min((n + 1) // 2, _CHUNK_BITS)
     n_hi = n - n_lo
     hi, lo = slice(0, n_hi), slice(n_hi, n)
     upper = np.triu(quad)
@@ -518,7 +515,7 @@ def brute_force_solve(
         lo_terms = lin[members[0]] * t + pair * t * (t - 1) / 2.0 + t * (lo_bits @ c[lo])
         tails.append((members, t, c[hi], lo_terms))
 
-    rows = 1 << min(chunk_bits - n_lo, n_hi)
+    rows = 1 << min(_CHUNK_BITS - n_lo, n_hi)
     term = np.empty((rows, 1 << n_lo))
     least = np.empty_like(term)
     best_energy, best_index = math.inf, -1
@@ -579,12 +576,13 @@ def decode_routes(model: QuboModel, assignment: str, inst: CvrpInstance) -> Rout
     number of times other than once, missing depot departures or returns,
     per-vehicle in/out imbalances, capacity excess, and set arcs forming
     loops that avoid the depot.  The cost sums every set arc, whether or
-    not it made it into a walk.
+    not it made it into a walk.  A model of another size than the
+    instance's :class:`VariableMap` raises ``ValueError``.
     """
+    vmap = VariableMap(inst.dimension, inst.vehicles, inst.capacity)
+    if model.num_vars != vmap.num_vars:
+        raise ValueError(f"the model has {model.num_vars} variables, the instance's layout {vmap.num_vars}")
     bits = _check_assignment(model, assignment)
-    vmap = model.var_map
-    if vmap is None:
-        raise ValueError("this model carries no variable map; decode needs one")
     nodes, k = vmap.nodes, vmap.vehicles
 
     arcs: list[list[tuple[int, int]]] = [[] for _ in range(k)]
@@ -854,8 +852,8 @@ def parse_model(text: str) -> QuboModel:
     Any other spacing, blank lines, term order or repeated terms (which
     add up) are accepted too; the terms are listed in the order of the
     text, so a model written by :func:`export_model` reads back in
-    ascending index order.  The result has no variable map, so it can be
-    evaluated and solved but not decoded into routes.
+    ascending index order.  A read-back model evaluates, solves and
+    decodes like the model that was written.
     """
     first, _, body = text.partition("\n")
     head_no, head, lines = 1, first.split(), None

@@ -57,6 +57,8 @@ class GapRecord:
     gap_percent: float
 
     def __post_init__(self) -> None:
+        if any(isinstance(x, float) and not math.isfinite(x) for x in (self.bks, self.lower_bound, self.gap_percent)):
+            raise ValueError("solution values, bounds and gaps must be finite")
         if not self.bks > 0 or not self.lower_bound > 0:
             raise ValueError("solution values and bounds must be positive")
 

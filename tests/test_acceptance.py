@@ -39,6 +39,7 @@ from qcvrp import (
     InstanceParams,
     LogMode,
     SizeConvention,
+    VariableMap,
     build_qubo,
     bundled_gap_csv,
     bundled_params,
@@ -115,7 +116,7 @@ def route_cost_vector(model, inst) -> np.ndarray:
     """Per-variable travel cost, zero on slack bits, so that the penalty part
     of any assignment's energy is its total energy minus this dot product."""
     weights = weight_matrix(inst)
-    vm = model.var_map
+    vm = VariableMap(inst.dimension, inst.vehicles, inst.capacity)
     vec = np.zeros(vm.num_vars)
     for flat in range(vm.num_route_vars):
         var = vm.route_var(flat)
@@ -242,7 +243,7 @@ class TestAcceptance:
                     # Per route pattern, the best slack completion has zero
                     # penalty exactly when the decoder sees no violations.
                     # (A clean route with the wrong slack bits still pays.)
-                    vm = model.var_map
+                    vm = VariableMap(inst.dimension, inst.vehicles, inst.capacity)
                     slack_bits = vm.num_vars - vm.num_route_vars
                     per_pattern = penalties.reshape(
                         1 << slack_bits, 1 << vm.num_route_vars

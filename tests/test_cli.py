@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import random
 import subprocess
 import sys
 
 import pytest
 
-from conftest import vrp_text
-from qcvrp import DiagramPoint, SchemaError, default_profiles, feasibility_diagram
+from conftest import family_instance, vrp_text
+from routing_oracle import best_routes_cost
+from qcvrp import DiagramPoint, SchemaError, default_profiles, feasibility_diagram, serialize_instance
 from qcvrp.cli import build_parser, cli_main
 from qcvrp.encoding import EncodingKind, LogMode, SizeConvention, encoding_qubits
 
@@ -330,10 +332,25 @@ class TestQuboAndSolve:
         assert (code, out) == (1, "")
         assert "must start with a 'QUBO' header line" in err
 
-    def test_solve_respects_variable_ceiling(self, capsys, triangle_file):
-        code, _, err = run_cli(capsys, "solve", triangle_file, "--max-vars", "4")
-        assert code == 1
-        assert "8" in err
+    def test_solve_respects_variable_ceiling(self, capsys, tmp_path):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text("QUBO 1025 0 1\n", encoding="utf-8")
+        expected = (1, "", "error: 1025 variables exceed the dense bound of 1024\n")
+        assert run_cli(capsys, "solve", str(model_path)) == expected
+
+    def test_solve_takes_no_variable_cap(self, capsys, triangle_file):
+        code, out, err = run_cli(capsys, "solve", triangle_file, "--max-vars", "4")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --max-vars 4" in err
+
+    def test_solve_above_thirty_variables_matches_the_oracle(self, capsys, tmp_path):
+        inst = family_instance(random.Random(0), customers=3, vehicles=2, capacity=10)  # 44 variables
+        path = tmp_path / "wide.vrp"
+        path.write_text(serialize_instance(inst), encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert (code, err) == (0, "")
+        assert f"route cost: {best_routes_cost(inst)}\n" in out
+        assert out.endswith("violations: none\n")
 
 
 class TestValue:

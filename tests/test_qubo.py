@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qcvrp import (
     AUTO,
     CvrpInstance,
     LengthMismatch,
+    SizeConvention,
     TooLarge,
     VariableMap,
     WeightKind,
@@ -30,6 +32,7 @@ from qcvrp import (
     export_model,
     parse_instance,
     parse_model,
+    qubo_qubits,
 )
 from qcvrp.instances import max_edge_weight, weight_matrix
 from qcvrp.qubo import (
@@ -132,7 +135,7 @@ class TestBuildQubo:
     def test_objective_coefficients_on_depot_arcs(self, triangle):
         # depot arcs gain no net penalty: their linear terms are pure distance
         model = build_qubo(triangle)
-        vmap = model.var_map
+        vmap = VariableMap(triangle.dimension, triangle.vehicles, triangle.capacity)
         assert model.linear[vmap.route_index(VarIndex(i=0, j=1, v=0))] == 3
         assert model.linear[vmap.route_index(VarIndex(i=0, j=2, v=0))] == 4
 
@@ -179,7 +182,8 @@ class TestBuildQubo:
 
 
 def closure_build(inst: CvrpInstance, penalty=AUTO, forbid_two_cycles: bool = True) -> QuboModel:
-    """The term-by-term builder that ``build_qubo`` replaced, kept as its reference."""
+    """The term-by-term builder that ``build_qubo`` replaced, kept as its
+    reference; ``forbid_two_cycles=False`` gives the plain degree-rule model."""
     if penalty == AUTO:
         scale = 2 * inst.dimension * max(1, max_edge_weight(inst))
     else:
@@ -237,7 +241,7 @@ def closure_build(inst: CvrpInstance, penalty=AUTO, forbid_two_cycles: bool = Tr
                     add_quadratic(arc(v, i, j), arc(v, j, i), scale)
     linear = {a: c for a, c in linear.items() if c != 0}
     quadratic = {ab: c for ab, c in quadratic.items() if c != 0}
-    return QuboModel(vmap.num_vars, linear, quadratic, offset, scale, vmap)
+    return QuboModel(vmap.num_vars, linear, quadratic, offset, scale)
 
 
 @st.composite
@@ -260,10 +264,10 @@ def small_instances(draw) -> CvrpInstance:
 
 class TestBuilderEquivalence:
     @settings(max_examples=60, deadline=None)
-    @given(small_instances(), st.sampled_from([AUTO, 7, 2.5, 0.1]), st.booleans())
-    def test_matches_the_closure_builder(self, inst, penalty, forbid):
-        model = build_qubo(inst, penalty, forbid_two_cycles=forbid)
-        reference = closure_build(inst, penalty, forbid)
+    @given(small_instances(), st.sampled_from([AUTO, 7, 2.5, 0.1]))
+    def test_matches_the_closure_builder(self, inst, penalty):
+        model = build_qubo(inst, penalty)
+        reference = closure_build(inst, penalty)
         assert model.num_vars == reference.num_vars
         for got, want in ((model.linear, reference.linear), (model.quadratic, reference.quadratic)):
             assert got == want
@@ -271,6 +275,27 @@ class TestBuilderEquivalence:
             assert list(got) == sorted(got)
         assert model.offset == reference.offset and type(model.offset) is type(reference.offset)
         assert export_model(model) == export_model(reference)
+        # the two-cycle rule only touches the pairs x[v, i -> j] * x[v, j -> i]
+        relaxed = closure_build(inst, penalty, forbid_two_cycles=False)
+        vmap = VariableMap(inst.dimension, inst.vehicles, inst.capacity)
+        pairs = {
+            (vmap.route_index(VarIndex(i, j, v)), vmap.route_index(VarIndex(j, i, v)))
+            for v in range(inst.vehicles)
+            for i, j in itertools.combinations(range(1, inst.dimension), 2)
+        }
+        assert (model.linear, model.offset) == (relaxed.linear, relaxed.offset)
+
+        def without_pairs(terms):
+            return {key: c for key, c in terms.items() if key not in pairs}
+
+        assert without_pairs(model.quadratic) == without_pairs(relaxed.quadratic)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_instances())
+    def test_variable_count_is_the_strict_qubit_count_less_self_loops(self, inst):
+        # the closed form counts k * (n + 1) self-loop bits that have no variable
+        n, k = inst.customers, inst.vehicles
+        assert build_qubo(inst).num_vars == qubo_qubits(n, k, inst.capacity, SizeConvention.STRICT) - k * (n + 1)
 
 
 class TestEnergy:
@@ -314,13 +339,16 @@ class TestBruteForce:
 
     def test_determinism_across_chunk_sizes(self, triangle):
         model = build_qubo(triangle)
-        results = {brute_force_solve(model, chunk_bits=b) for b in (1, 3, 7, 18)}
+        results = set()
+        for chunk_bits in (1, 3, 7, 18):
+            with mock.patch.object(qubo_module, "_CHUNK_BITS", chunk_bits):
+                results.add(brute_force_solve(model))
         assert results == {(OPT_TOUR_BITS, 12)}
 
     def test_reduced_and_plain_enumeration_agree(self, triangle):
         model = build_qubo(triangle)
-        plain = parse_model(export_model(model))  # no var map: groups from coefficients
-        assert plain.var_map is None
+        plain = parse_model(export_model(model))  # groups are read from the coefficients
+        assert plain == model
         assert brute_force_solve(plain) == brute_force_solve(model)
 
     def test_non_uniform_slack_falls_back_to_enumeration(self, triangle):
@@ -370,9 +398,14 @@ class TestBruteForce:
         assert decoding.violations == []
         assert best == decoding.total_cost == 5066973234061196
 
-    def test_size_cap(self, triangle):
-        with pytest.raises(TooLarge):
-            brute_force_solve(build_qubo(triangle), max_vars=5)
+    def test_size_cap(self):
+        # the dense bound is checked before any term is read
+        with pytest.raises(TooLarge, match="1025 variables exceed the dense bound of 1024"):
+            brute_force_solve(parse_model("QUBO 1025 0 1\n"))
+        # fully coupled with no two bits alike: only the last bit is reduced
+        quadratic = {(a, b): a + b for a, b in itertools.combinations(range(31), 2)}
+        with pytest.raises(TooLarge, match=r"enumeration work 2\*\*30 \* \(1 \+ 1\) exceeds the bound of 2\*\*30"):
+            brute_force_solve(QuboModel(31, {}, quadratic, 0, 1))
 
     def test_matches_oracle_on_a_random_instance(self):
         inst = family_instance(random.Random(3), customers=3, vehicles=1, capacity=2)
@@ -382,6 +415,30 @@ class TestBruteForce:
         assert decoding.violations == []
         assert decoding.total_cost == best_routes_cost(inst)
         assert best == decoding.total_cost
+
+    # Above the former 30-variable cap: the slack registers are reduced, so
+    # 24 (n=3, k=2) and 20 (n=4, k=1) route bits are enumerated.  Seed 3 is
+    # an n=4 instance whose optimum is a tour; see the next test.
+    @pytest.mark.parametrize("customers, vehicles, capacity, seed", [(3, 2, 10, 0), (3, 2, 16, 1), (4, 1, 200, 3)])
+    def test_matches_oracle_above_thirty_variables(self, customers, vehicles, capacity, seed):
+        inst = family_instance(random.Random(seed), customers, vehicles, capacity)
+        model = build_qubo(inst)
+        assert model.num_vars > 30
+        bits, best = brute_force_solve(model)
+        decoding = decode_routes(model, bits, inst)
+        assert decoding.violations == []
+        assert best == decoding.total_cost == best_routes_cost(inst)
+
+    def test_four_customers_admit_a_depot_avoiding_loop(self):
+        # With four customers the rules admit one out-and-back run plus a
+        # loop over the other three; the decoder reports it.  Seeds 0-2 of
+        # the n=4, k=1 family solve to such a loop at C = 3..8 and C = 200.
+        inst = family_instance(random.Random(0), customers=4, vehicles=1, capacity=3)
+        model = build_qubo(inst)
+        bits, best = brute_force_solve(model)
+        decoding = decode_routes(model, bits, inst)
+        assert [v.kind for v in decoding.violations] == [SUBTOUR]
+        assert best == decoding.total_cost < best_routes_cost(inst)
 
 
 def reference_solve(model: QuboModel) -> tuple[str, object]:
@@ -433,7 +490,8 @@ class TestSolverKernel:
     def test_matches_plain_exhaustive_search(self, model):
         expected = reference_solve(model)
         for chunk_bits in (1, 3, 18):
-            assert brute_force_solve(model, chunk_bits=chunk_bits) == expected
+            with mock.patch.object(qubo_module, "_CHUNK_BITS", chunk_bits):
+                assert brute_force_solve(model) == expected
 
     def test_interleaved_groups_keep_the_tie_break(self):
         # Bit 0 is enumerated; groups {1, 3} and {2, 4} are reduced.  With
@@ -449,7 +507,8 @@ class TestSolverKernel:
         )
         assert reference_solve(model) == ("00011", -3)
         for chunk_bits in (0, 1, 18):
-            assert brute_force_solve(model, chunk_bits=chunk_bits) == ("00011", -3)
+            with mock.patch.object(qubo_module, "_CHUNK_BITS", chunk_bits):
+                assert brute_force_solve(model) == ("00011", -3)
 
     def test_model_read_back_from_text_solves_alike(self):
         for inst in small_family():
@@ -512,7 +571,7 @@ class TestTwoCycleRule:
 
     def test_degree_rules_alone_admit_an_isolated_pair(self):
         inst = self.far_pair_instance()
-        relaxed = build_qubo(inst, forbid_two_cycles=False)
+        relaxed = closure_build(inst, forbid_two_cycles=False)
         bits, best = brute_force_solve(relaxed)
         decoding = decode_routes(relaxed, bits, inst)
         # the cheap optimum keeps the far pair on a private loop
@@ -529,7 +588,7 @@ class TestTwoCycleRule:
 
     def test_pair_rule_is_free_for_valid_tours(self, triangle):
         with_rule = build_qubo(triangle)
-        without = build_qubo(triangle, forbid_two_cycles=False)
+        without = closure_build(triangle, forbid_two_cycles=False)
         for bits in (OPT_TOUR_BITS, ALT_TOUR_BITS):
             assert energy(with_rule, bits) == energy(without, bits)
 
@@ -562,7 +621,7 @@ class TestDecodeRoutes:
 
     def test_flow_imbalance_and_visit_count(self, triangle):
         model = build_qubo(triangle)
-        vmap = model.var_map
+        vmap = VariableMap(triangle.dimension, triangle.vehicles, triangle.capacity)
         bits = ["0"] * 8
         bits[vmap.route_index(VarIndex(i=0, j=1, v=0))] = "1"
         bits[vmap.route_index(VarIndex(i=2, j=0, v=0))] = "1"
@@ -590,7 +649,7 @@ class TestDecodeRoutes:
 
     def test_double_depot_run(self, triangle):
         model = build_qubo(triangle)
-        vmap = model.var_map
+        vmap = VariableMap(triangle.dimension, triangle.vehicles, triangle.capacity)
         bits = ["0"] * 8
         for i, j in ((0, 1), (1, 0), (0, 2), (2, 0)):
             bits[vmap.route_index(VarIndex(i=i, j=j, v=0))] = "1"
@@ -598,10 +657,14 @@ class TestDecodeRoutes:
         kinds = sorted(v.kind for v in decoding.violations)
         assert kinds == [DEPOT_DEPARTURE, DEPOT_RETURN]
 
-    def test_decode_needs_a_variable_map(self, triangle):
-        model = parse_model(export_model(build_qubo(triangle)))
-        with pytest.raises(ValueError, match="variable map"):
-            decode_routes(model, "0" * 8, triangle)
+    def test_read_back_model_decodes_like_the_built_one(self, triangle):
+        built = build_qubo(triangle)
+        read_back = parse_model(export_model(built))
+        for bits in (OPT_TOUR_BITS, ALT_TOUR_BITS, "0" * 8, "1" * 8, "01000100"):
+            assert decode_routes(read_back, bits, triangle) == decode_routes(built, bits, triangle)
+        other = two_customer_instance(capacity=3)  # the triangle's nodes, one more slack bit
+        with pytest.raises(ValueError, match="the model has 8 variables, the instance's layout 9"):
+            decode_routes(read_back, "0" * 8, other)
 
 
 class TestModelText:
@@ -617,6 +680,11 @@ class TestModelText:
             assert again.penalty == model.penalty
             assert again.linear == model.linear
             assert dict(again.quadratic) == dict(model.quadratic)
+
+    def test_built_model_equals_its_read_back(self, triangle):
+        for inst in (triangle, *small_family()):
+            model = build_qubo(inst)
+            assert parse_model(export_model(model)) == model, inst.name
 
     def test_header_shape(self, triangle):
         text = export_model(build_qubo(triangle))
@@ -940,7 +1008,7 @@ class TestArrayBackedModels:
             parse_model(text).lienar
         built = build_qubo(triangle)
         assert build_qubo(triangle) == built == copy.deepcopy(built) == pickle.loads(pickle.dumps(built))
-        assert " at 0x" not in repr(built) and "VariableMap(nodes=3, vehicles=1, capacity=2)" in repr(built)
+        assert " at 0x" not in repr(built) and repr(built) == repr(parse_model(text)) and built == parse_model(text)
 
     def test_reading_and_solving_build_no_dicts(self, triangle, monkeypatch):
         dicts, arrays = [], []  # one entry per term kind converted

@@ -85,6 +85,13 @@ class TestGapRecords:
         with pytest.raises(ValueError):
             GapRecord("x", bks=-1, lower_bound=1, gap_percent=0)
 
+    @pytest.mark.parametrize("field", ["bks", "lower_bound", "gap_percent"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_record_refuses_non_finite_values(self, field, bad):
+        values = {"bks": 2.0, "lower_bound": 1.0, "gap_percent": 50.0, field: bad}
+        with pytest.raises(ValueError, match="must be finite"):
+            GapRecord("x", **values)
+
 
 class TestImpactEstimate:
     def test_reference_fleet_numbers_are_exact(self):
