@@ -23,6 +23,7 @@ exact optimum doubles as ground truth for the closed-form estimates.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -167,17 +168,18 @@ def _same_arrays(mine: tuple[np.ndarray, ...], theirs: tuple[np.ndarray, ...]) -
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuboModel:
     """An explicit quadratic pseudo-Boolean model.
 
     ``linear`` maps flat indices to coefficients and ``quadratic`` maps
     index pairs ``(a, b)`` with ``a < b``; ``offset`` is the constant term
-    and ``penalty`` the scale applied to every constraint.  Both term fields
-    are mappings, not necessarily dicts; ``dict(model.linear)`` gives a
-    plain dict.  Built and parsed models hold read-only mappings backed by
-    arrays; to change a model, assign a new mapping, as in
-    ``dataclasses.replace(model, linear={**model.linear, 6: c})``.  Built
+    and ``penalty`` the scale applied to every constraint.  Construction
+    turns each term mapping into a read-only one backed by arrays, once,
+    in the mapping's order, and checks the model once: ``ValueError``
+    names the first key or value that the text format cannot hold.  Models
+    are frozen; ``dataclasses.replace(model, linear={**model.linear, 6: c})``
+    makes a changed copy, and ``dict(model.linear)`` a plain dict.  Built
     models, and models read back from text that ``export_model`` wrote,
     list their terms in ascending index order, and a built model equals
     its read-back.
@@ -188,6 +190,35 @@ class QuboModel:
     quadratic: Mapping[tuple[int, int], Number]
     offset: Number
     penalty: Number
+
+    def __post_init__(self) -> None:
+        import numpy as np
+        m = self.num_vars
+        for field, width, what in (("linear", 1, "linear index {}"), ("quadratic", 2, "quadratic index pair ({}, {})")):
+            terms = getattr(self, field)
+            converted = not isinstance(terms, _Terms)
+            if converted:
+                terms = _Terms(_kind_arrays(terms, width))
+                object.__setattr__(self, field, terms)
+            *keys, values = terms._arrays
+            # numpy would read a negative index as one counted from the end
+            if any(k.size and (k.min() < 0 or k.max() >= m) for k in keys):
+                first = np.argmax(np.logical_or.reduce([(k < 0) | (k >= m) for k in keys]))
+                raise ValueError(f"{what.format(*(k[first] for k in keys))} outside 0..{m - 1}")
+            if converted and width == 2 and not (keys[0] < keys[1]).all():
+                first = np.argmax(keys[0] >= keys[1])
+                raise ValueError(f"{what.format(*(k[first] for k in keys))} is not ordered a < b")
+            if not _all_finite(values):
+                first, value = next((i, v) for i, v in enumerate(values.tolist()) if not _finite(v))
+                raise ValueError(f"{what.format(*(k[first] for k in keys))}: {value!r} is not a finite number")
+        for field in ("offset", "penalty"):
+            value = getattr(self, field)
+            value = value.item() if isinstance(value, np.generic) else value
+            if not _finite(value):
+                raise ValueError(f"{field} {value!r} is not a finite number")
+            object.__setattr__(self, field, value)
+        if not self.penalty > 0:
+            raise ValueError("penalty must be positive")
 
 
 def _auto_penalty(inst: CvrpInstance) -> int:
@@ -319,34 +350,36 @@ def _index_codes(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, list[np.n
     return table, np.split(codes, np.cumsum([len(c) for c in columns[:-1]]))
 
 
-def _term_arrays(model: QuboModel) -> tuple[np.ndarray, ...]:
-    """``(lin_idx, lin_val, q_a, q_b, q_val)``: the arrays each term kind
-    holds, or ones built from its mapping in mapping order.  ``ValueError``
-    names the first index outside the model; numpy would let a negative one
-    alias another."""
-    import numpy as np
-    m = model.num_vars
-    arrays = (*_kind_arrays(model.linear, 1), *_kind_arrays(model.quadratic, 2))
-    for what, keys in (("linear index {}", arrays[:1]), ("quadratic index pair ({}, {})", arrays[2:4])):
-        if any(k.size and (k.min() < 0 or k.max() >= m) for k in keys):
-            first = np.argmax(np.logical_or.reduce([(k < 0) | (k >= m) for k in keys]))
-            raise ValueError(f"{what.format(*(k[first] for k in keys))} outside 0..{m - 1}")
-    return arrays
-
-
 def _kind_arrays(terms: Mapping, width: int) -> tuple[np.ndarray, ...]:
-    """The ``width`` key columns and the value column of one term kind: the
-    arrays a :class:`_Terms` holds, or ones built from the mapping in its
-    order."""
+    """The ``width`` key columns and the value column of a term mapping, in
+    its order, with numpy scalars read as the Python numbers they equal."""
     import numpy as np
-    if isinstance(terms, _Terms):
-        return terms._arrays
-    keys = list(chain.from_iterable(terms) if width > 1 else terms)
+    keys, values = list(terms), list(terms.values())
+    shaped = width == 1 or set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
+    flat = list(chain.from_iterable(keys)) if width > 1 and shaped else keys
+    if not (shaped and set(map(type, flat)) <= {int}):  # numpy integers, or a key to refuse
+        flat = [i for key in keys for i in _index_key(key, width)]
     try:
-        flat = np.fromiter(keys, np.int64, len(keys))
+        flat = np.fromiter(flat, np.int64, len(flat))
     except OverflowError:  # an index past int64, so outside the model: kept exact to name it
-        flat = np.array(keys, dtype=object)
-    return (*(flat[i::width] for i in range(width)), _coefficients(terms.values()))
+        flat = np.array(flat, dtype=object)
+    if not set(map(type, values)) <= {int, float}:
+        values = [v.item() if isinstance(v, np.generic) else v for v in values]
+    return (*(flat[i::width] for i in range(width)), _coefficients(values))
+
+
+def _index_key(key, width: int) -> tuple[int, ...]:
+    """A term key as ``width`` ints; numpy integers are read as the ints they
+    equal, and ``ValueError`` names any other key."""
+    try:
+        if width == 1:
+            return (operator.index(key),)
+        if isinstance(key, tuple) and len(key) == 2:
+            return tuple(map(operator.index, key))
+    except TypeError:
+        pass
+    what = "linear key {!r} is not an index" if width == 1 else "quadratic key {!r} is not an index pair"
+    raise ValueError(what.format(key))
 
 
 def _coefficients(values: Collection) -> np.ndarray:
@@ -358,6 +391,18 @@ def _coefficients(values: Collection) -> np.ndarray:
     except OverflowError:
         pass
     return np.fromiter(values, object, len(values))
+
+
+def _finite(value: object) -> bool:
+    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """True if every coefficient is an int or a finite float; a float64
+    column is read through its bounds, which nan and inf reach."""
+    if values.dtype.kind == "f":
+        return math.isfinite(values.min(initial=0)) and math.isfinite(values.max(initial=0))
+    return values.dtype.kind == "i" or all(map(_finite, values.tolist()))
 
 
 def _check_assignment(model: QuboModel, assignment: str) -> list[int]:
@@ -372,11 +417,11 @@ def energy(model: QuboModel, assignment: str) -> Number:
     """Evaluate the model on a bitstring (index 0 is the leftmost bit).
 
     The offset, the linear terms, then the quadratic terms are added one at
-    a time in listed order.  An index outside the model raises ``ValueError``.
+    a time in listed order.
     """
     import numpy as np
     _check_assignment(model, assignment)
-    lin_idx, lin_val, q_a, q_b, q_val = _term_arrays(model)
+    (lin_idx, lin_val), (q_a, q_b, q_val) = model.linear._arrays, model.quadratic._arrays
     bits = np.frombuffer(assignment.encode(), dtype=np.uint8) == ord("1")
     total = model.offset
     for chosen in (lin_val[bits[lin_idx]], q_val[bits[q_a] & bits[q_b]]):
@@ -391,16 +436,15 @@ def energy(model: QuboModel, assignment: str) -> Number:
 
 def count_terms(model: QuboModel) -> tuple[int, int]:
     """Number of nonzero linear and quadratic coefficients."""
-    _, lin_val, _, _, q_val = _term_arrays(model)
-    return (int((lin_val != 0).sum()), int((q_val != 0).sum()))
+    return (int((model.linear._arrays[-1] != 0).sum()), int((model.quadratic._arrays[-1] != 0).sum()))
 
 
 def _dense(model: QuboModel) -> tuple[np.ndarray, np.ndarray, float]:
     """Linear vector, symmetric zero-diagonal coupling matrix and offset, as
-    floats; ``ValueError`` if an index lies outside the model or a value is
-    not finite as a float, such as an int beyond float range."""
+    floats; ``ValueError`` if a value or a sum is not finite as a float,
+    such as an int beyond float range or ``1e308 + 1e308``."""
     import numpy as np
-    lin_idx, lin_val, q_a, q_b, q_val = _term_arrays(model)
+    (lin_idx, lin_val), (q_a, q_b, q_val) = model.linear._arrays, model.quadratic._arrays
     m = model.num_vars
     try:
         offset = float(model.offset)
@@ -408,11 +452,9 @@ def _dense(model: QuboModel) -> tuple[np.ndarray, np.ndarray, float]:
     except OverflowError:
         raise ValueError("model coefficients and offset must be finite") from None
     lin = np.zeros(m)
+    lin[lin_idx] = lin_val  # keys are distinct and pairs have a < b: each entry is set once
     quad = np.zeros((m, m))
-    same = q_a == q_b  # x * x == x; np.add.at adds in array order
-    np.add.at(lin, np.concatenate([lin_idx, q_a[same]]), np.concatenate([lin_val, q_val[same]]))
-    a, b, c = q_a[~same], q_b[~same], q_val[~same]
-    np.add.at(quad, (np.concatenate([a, b]), np.concatenate([b, a])), np.concatenate([c, c]))
+    quad[q_a, q_b] = quad[q_b, q_a] = q_val
     # A finite sum of magnitudes also bounds every partial sum below.
     with np.errstate(over="ignore"):
         magnitude = abs(offset) + np.abs(lin).sum() + np.abs(quad).sum()
@@ -477,8 +519,8 @@ def brute_force_solve(model: QuboModel) -> tuple[str, Number]:
     block.  Ties go to the lexicographically smallest bitstring, independent
     of chunking.  Raises ``TooLarge`` beyond ``_DENSE_VARS`` variables, or
     when ``n`` enumerated and ``r`` reduced bits cost ``2**n * (1 + r)``
-    beyond ``2**_WORK_BITS``; raises ``ValueError`` on an index outside
-    the model or a coefficient or offset that is not finite as a float.
+    beyond ``2**_WORK_BITS``; raises ``ValueError`` when the float matrices
+    cannot hold the model: an int beyond float range, or a float sum past it.
     """
     import numpy as np
     m = model.num_vars
@@ -683,7 +725,7 @@ def export_model(model: QuboModel) -> str:
     the lines are laid out as one byte grid per term kind.
     """
     import numpy as np
-    lin_idx, lin_val, q_a, q_b, q_val = _term_arrays(model)
+    (lin_idx, lin_val), (q_a, q_b, q_val) = model.linear._arrays, model.quadratic._arrays
     lin = np.flatnonzero(lin_val != 0)
     if not (np.diff(lin_idx[lin]) > 0).all():
         lin = lin[np.argsort(lin_idx[lin], kind="stable")]
@@ -758,8 +800,8 @@ _LAYOUT_BYTES = b"0123456789 -\nLQ"
 
 def _canonical_terms(body: str, num_vars: int) -> tuple[np.ndarray, ...] | None:
     """Terms of a model body laid out exactly as :func:`export_model` writes
-    integer models, as :func:`_term_arrays` arrays; None for any other text,
-    which the line parser then reads.
+    integer models, as ``(lin_idx, lin_val, q_a, q_b, q_val)``; None for any
+    other text, which the line parser then reads.
 
     That layout is ``L`` lines, then ``Q`` lines, each a letter and two or
     three integers of at most ``_FAST_DIGITS`` digits, joined by single
@@ -872,8 +914,7 @@ def parse_model(text: str) -> QuboModel:
     if not penalty > 0:
         raise ValueError(f"model line {head_no}: penalty must be positive")
     arrays = _canonical_terms(body, num_vars) if lines is None else None
-    if arrays is None:
-        lines = enumerate(body.splitlines(), start=2) if lines is None else lines
-        linear, quadratic = _parse_lines(lines, num_vars)
-        arrays = (*_kind_arrays(linear, 1), *_kind_arrays(quadratic, 2))
-    return QuboModel(num_vars, _Terms(arrays[:2]), _Terms(arrays[2:]), offset, penalty)
+    if arrays is not None:
+        return QuboModel(num_vars, _Terms(arrays[:2]), _Terms(arrays[2:]), offset, penalty)
+    lines = enumerate(body.splitlines(), start=2) if lines is None else lines
+    return QuboModel(num_vars, *_parse_lines(lines, num_vars), offset, penalty)

@@ -45,7 +45,6 @@ from qcvrp.qubo import (
     VarIndex,
     _canonical_terms,
     _index_codes,
-    _term_arrays,
     _Terms,
 )
 from routing_oracle import best_routes_cost
@@ -522,9 +521,16 @@ class TestSolverKernel:
         [({0: math.nan}, 0), ({0: math.inf}, 0), ({0: 1}, -math.inf), ({0: 1e308, 1: 1e308}, 0)],
     )
     def test_non_finite_coefficients_are_rejected(self, linear, offset):
-        model = QuboModel(num_vars=2, linear=linear, quadratic={}, offset=offset, penalty=1)
-        with pytest.raises(ValueError, match="finite"):
-            brute_force_solve(model)
+        def make():
+            return QuboModel(num_vars=2, linear=linear, quadratic={}, offset=offset, penalty=1)
+
+        if all(map(math.isfinite, [*linear.values(), offset])):
+            # finite terms whose float sum overflows: a valid model that only the solver refuses
+            with pytest.raises(ValueError, match="model coefficients and offset must be finite"):
+                brute_force_solve(make())
+        else:
+            with pytest.raises(ValueError, match="finite"):
+                make()
 
     @pytest.mark.parametrize(
         "linear, quadratic, offset",
@@ -549,11 +555,8 @@ class TestSolverKernel:
     )
     def test_indices_outside_the_model_are_rejected(self, linear, quadratic, message):
         # numpy, or a list, would read index -1 as the last variable
-        model = QuboModel(num_vars=2, linear=linear, quadratic=quadratic, offset=0, penalty=1)
         with pytest.raises(ValueError, match=message):
-            brute_force_solve(model)
-        with pytest.raises(ValueError, match=message):
-            energy(model, "01")
+            QuboModel(num_vars=2, linear=linear, quadratic=quadratic, offset=0, penalty=1)
 
 
 class TestTwoCycleRule:
@@ -913,10 +916,22 @@ def outcomes(model: QuboModel, assignments: list[str], frozen: bool) -> list:
     return results
 
 
+def index_pairs(m: int):
+    """Index pairs ``(a, b)`` with ``0 <= a < b < m``; ``m`` is at least 2."""
+    return st.tuples(st.integers(0, m - 2), st.integers(1, m - 1)).filter(lambda ab: ab[0] < ab[1])
+
+
+NUMPY_SCALARS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(-1e6, 1e6).map(np.float64),
+    st.booleans().map(np.bool_),
+)
+
+
 @st.composite
 def hand_models(draw) -> QuboModel:
-    """Models built in code: keys in any order, (b, a) and (a, a) pairs, zero
-    coefficients, and ints, big ints, a 400-digit int, bools and floats mixed."""
+    """Models built in code: keys in any order, zero coefficients, and ints,
+    big ints, a 400-digit int, bools, floats and numpy scalars mixed."""
     m = draw(st.integers(1, 10))
     index = st.integers(0, m - 1)
     values = st.one_of(
@@ -926,11 +941,15 @@ def hand_models(draw) -> QuboModel:
         st.floats(-1e6, 1e6),
         st.booleans(),
         st.just(-(10**399) - 7),
+        NUMPY_SCALARS,
     )
     linear = draw(st.dictionaries(index, values, max_size=m))
-    quadratic = draw(st.dictionaries(st.tuples(index, index), values, max_size=20))
-    offset = draw(st.one_of(st.integers(-(2**70), 2**70), st.floats(-1e6, 1e6)))
-    return QuboModel(m, linear, quadratic, offset, penalty=1)
+    quadratic = draw(st.dictionaries(index_pairs(m), values, max_size=20)) if m > 1 else {}
+    offset = draw(st.one_of(st.integers(-(2**70), 2**70), st.floats(-1e6, 1e6), NUMPY_SCALARS))
+    penalty = draw(
+        st.one_of(st.integers(1, 2**70), st.floats(1e-3, 1e9), st.just(np.int64(3)), st.just(np.float64(0.5)))
+    )
+    return QuboModel(m, linear, quadratic, offset, penalty)
 
 
 @st.composite
@@ -989,10 +1008,12 @@ class TestArrayBackedModels:
         assert energy(parse_model(text), "1" * m) > 2**63
 
     def test_assigning_one_dict_keeps_the_other(self, triangle):
-        model = build_qubo(triangle)
+        built = build_qubo(triangle)
         quadratic = dict(build_qubo(triangle).quadratic)
-        model.linear = {0: 1}
-        assert model.quadratic == quadratic
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.linear = {0: 1}
+        model = dataclasses.replace(built, linear={0: 1})
+        assert model.quadratic == quadratic and model.quadratic is built.quadratic
         assert energy(model, "1" * 8) == model.offset + 1 + sum(quadratic.values())
 
     def test_dataclass_behaviour_is_unchanged(self, triangle):
@@ -1027,42 +1048,48 @@ class TestArrayBackedModels:
         assert dicts == [1]
         assert export_model(model) == text
         assert arrays == []
-        model.linear = dict(model.linear)  # a plain dict is read on every call
-        assert export_model(model) == text and energy(model, OPT_TOUR_BITS) == 12
-        assert (dicts, arrays) == ([1, 1], [1, 1])
-        line_read = parse_model(text.replace("\n", "\n\n"))  # the line parser builds arrays once
+        given = dataclasses.replace(model, linear=dict(model.linear))  # a mapping is converted once, here
+        assert (dicts, arrays) == ([1, 1], [1])
+        assert export_model(given) == text and energy(given, OPT_TOUR_BITS) == 12
+        assert count_terms(given) == (8, 20) and brute_force_solve(given) == (OPT_TOUR_BITS, 12)
+        assert (dicts, arrays) == ([1, 1], [1])
+        line_read = parse_model(text.replace("\n", "\n\n"))  # the line parser's dicts too
         assert export_model(line_read) == text and count_terms(line_read) == (8, 20)
-        assert arrays == [1, 1, 1, 1]
+        assert arrays == [1, 1, 1]
 
     @settings(max_examples=80, deadline=None)
     @given(model_makers(kinds=("built", "read back", "line parser")), st.data())
     def test_reads_and_edits_match_a_plain_dict_copy(self, maker, data):
+        # the twin is made from plain dict copies, so it takes the conversion
+        # at construction that a built or parsed model skips
         make, m = maker
         other = make()
-        model, twin = make(), dataclasses.replace(other, linear=dict(other.linear), quadratic=dict(other.quadratic))
+        plain = {"linear": dict(other.linear), "quadratic": dict(other.quadratic)}
+        model, twin = make(), dataclasses.replace(other, **plain)
         assignments = ["1" * m, data.draw(st.text(alphabet="01", min_size=m, max_size=m))]
-        index = st.integers(0, m - 1)
         values = st.one_of(st.just(0), st.integers(-50, 50), st.floats(-1e3, 1e3))
         for _ in range(data.draw(st.integers(1, 8))):
-            field = data.draw(st.sampled_from(["linear", "quadratic"]))
-            plain = getattr(twin, field)
-            new_key = index if field == "linear" else st.tuples(index, index)
-            key = data.draw(st.sampled_from(list(plain)) | new_key if plain else new_key)
+            field = data.draw(st.sampled_from(["linear", "quadratic"] if m > 1 else ["linear"]))
+            new_key = st.integers(0, m - 1) if field == "linear" else index_pairs(m)
+            key = data.draw(st.sampled_from(list(plain[field])) | new_key if plain[field] else new_key)
             value = data.draw(values)
             action = data.draw(st.sampled_from([*TERM_ACTIONS, "reassign", "evaluate"]))
             if action == "reassign":
-                setattr(model, field, {**plain, key: value})
-                setattr(twin, field, {**plain, key: value})
+                plain[field] = {**plain[field], key: value}
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(model, field, plain[field])
+                model = dataclasses.replace(model, **{field: plain[field]})
+                twin = dataclasses.replace(twin, **{field: plain[field]})
             elif action == "evaluate":
                 assert outcomes(model, assignments, frozen=False) == outcomes(twin, assignments, frozen=False)
             else:
                 act = TERM_ACTIONS[action]
-                assert act(getattr(model, field), key) == act(plain, key)
+                assert act(getattr(model, field), key) == act(plain[field], key)
         assert outcomes(model, assignments, frozen=False) == outcomes(twin, assignments, frozen=False)
         for field in ("linear", "quadratic"):
-            terms, plain = getattr(model, field), getattr(twin, field)
-            assert terms == plain and plain == terms
-            assert list(terms.items()) == list(plain.items()) and repr(terms) == repr(plain)
+            terms, twin_terms = getattr(model, field), getattr(twin, field)
+            assert terms == plain[field] and plain[field] == terms and terms == twin_terms
+            assert list(terms.items()) == list(plain[field].items()) and repr(terms) == repr(plain[field])
 
     def test_equality_follows_the_dicts(self, triangle):
         built = build_qubo(triangle)
@@ -1100,7 +1127,9 @@ class TestArrayBackedModels:
             for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
                 assert (twin.linear, twin.quadratic) == (model.linear, model.quadratic)
                 assert export_model(twin) == text
-                twin.linear = {**twin.linear, 0: twin.linear[0] + 1}
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    twin.linear = {}
+                twin = dataclasses.replace(twin, linear={**twin.linear, 0: twin.linear[0] + 1})
                 assert export_model(twin) != text and export_model(model) == text
             replaced = dataclasses.replace(model, penalty=7)
             assert replaced.quadratic is model.quadratic and export_model(replaced).startswith("QUBO 8 240 7\n")
@@ -1120,6 +1149,74 @@ class TestArrayBackedModels:
         assert (model.linear, model.quadratic) == ({10**6 - 1: 5}, {(3, 10**6 - 1): -1})
 
 
+class TestModelConstruction:
+    @pytest.mark.parametrize(
+        "linear, quadratic, message",
+        [
+            ({0.5: 1}, {}, r"linear key 0\.5 is not an index"),
+            ({"0": 1}, {}, "linear key '0' is not an index"),
+            ({(0,): 1}, {}, r"linear key \(0,\) is not an index"),
+            ({}, {(0, 1, 1): 1}, r"quadratic key \(0, 1, 1\) is not an index pair"),
+            ({}, {(0,): 1}, r"quadratic key \(0,\) is not an index pair"),
+            ({}, {0: 1}, "quadratic key 0 is not an index pair"),
+            ({}, {(0.0, 1): 1}, r"quadratic key \(0\.0, 1\) is not an index pair"),
+            ({}, {(1, 1): 3}, r"quadratic index pair \(1, 1\) is not ordered a < b"),
+            ({}, {(2, 0): 1, (0, 2): 2}, r"quadratic index pair \(2, 0\) is not ordered a < b"),
+            ({}, {(0, 1): 1, (5, 5): 7}, r"quadratic index pair \(5, 5\) is not ordered a < b"),
+            ({}, {(70_000, 12): 2**70}, r"quadratic index pair \(70000, 12\) is not ordered a < b"),
+        ],
+    )
+    def test_malformed_keys_are_refused(self, linear, quadratic, message):
+        with pytest.raises(ValueError, match=message):
+            QuboModel(10**5, linear, quadratic, 0, 1)
+
+    @pytest.mark.parametrize(
+        "linear, quadratic, offset, penalty, message",
+        [
+            ({0: math.nan}, {}, 0, 1, "linear index 0: nan is not a finite number"),
+            ({}, {(0, 1): -math.inf}, 0, 1, r"quadratic index pair \(0, 1\): -inf is not a finite number"),
+            ({0: "1"}, {}, 0, 1, "linear index 0: '1' is not a finite number"),
+            ({}, {}, np.float64("nan"), 1, "offset nan is not a finite number"),
+            ({}, {}, 0, math.inf, "penalty inf is not a finite number"),
+            ({}, {}, 0, -1, "penalty must be positive"),
+            ({}, {}, 0, 0.0, "penalty must be positive"),
+            ({}, {}, 0, np.int64(0), "penalty must be positive"),
+        ],
+    )
+    def test_values_that_do_not_read_back_are_refused(self, linear, quadratic, offset, penalty, message):
+        with pytest.raises(ValueError, match=message):
+            QuboModel(2, linear, quadratic, offset, penalty)
+
+    def test_built_float_terms_past_float_range_are_refused(self, triangle):
+        # a finite penalty whose products overflow leaves inf terms, which no text reads back
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not a finite number"):
+            build_qubo(triangle, 1e308)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        model = QuboModel(
+            np.int64(2),
+            {np.int64(0): np.float64(0.5), 1: np.int64(5)},
+            {(np.int32(0), np.int64(1)): np.bool_(True)},
+            np.float64(0.5),
+            np.int64(3),
+        )
+        assert export_model(model) == "QUBO 2 0.5 3\nL 0 0.5\nL 1 5\nQ 0 1 1\n"
+        assert [typed(item) for item in model.linear.items()] == [((0, int), (0.5, float)), ((1, int), (5, int))]
+        assert typed(next(iter(model.quadratic.items()))) == (((0, int), (1, int)), (True, bool))
+        assert typed((model.offset, model.penalty)) == ((0.5, float), (3, int))
+        one = QuboModel(1, {0: np.int64(5)}, {}, np.int64(2), 1)
+        assert typed(energy(one, "1")) == (7, int) and typed(energy(one, "0")) == (2, int)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hand_models())
+    def test_every_model_reads_back(self, model):
+        text = export_model(model)
+        back = parse_model(text)
+        nonzero = {kind: {k: c for k, c in getattr(model, kind).items() if c != 0} for kind in ("linear", "quadratic")}
+        assert back == dataclasses.replace(model, **nonzero)
+        assert export_model(back) == text
+
+
 def exports_alike(make) -> None:
     """``export_model`` matches the per-term writer on a fresh model (arrays
     kept, if it keeps any) and again once its dicts have been read."""
@@ -1133,7 +1230,7 @@ class TestExportText:
     def test_sparse_indices_far_above_the_term_count(self):
         m = 10**9
         linear = {m - 1: 5, 3: True, 70_000: 0.25}
-        quadratic = {(3, m - 1): -1, (70_000, 12): 2**70, (5, 5): 7, (12, 70_000): 0}
+        quadratic = {(3, m - 1): -1, (12, 70_000): 0}
         exports_alike(lambda: QuboModel(m, dict(linear), dict(quadratic), 0, 1))
         text = f"QUBO {m} 0 1\nL 3 1\nL 70000 4\nL {m - 1} 5\nQ 3 {m - 1} -1\nQ 12 70000 9\n"
         exports_alike(lambda: parse_model(text))
