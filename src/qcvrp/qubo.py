@@ -26,7 +26,6 @@ import math
 import operator
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Union
 
 from .errors import LengthMismatch, TooLarge
@@ -177,7 +176,8 @@ class QuboModel:
     and ``penalty`` the scale applied to every constraint.  Construction
     turns each term mapping into a read-only one backed by arrays, once,
     in the mapping's order, and checks the model once: ``ValueError``
-    names the first key or value that the text format cannot hold.  Models
+    names the first key or value, or the variable count, that the text
+    format cannot hold.  Models
     are frozen; ``dataclasses.replace(model, linear={**model.linear, 6: c})``
     makes a changed copy, and ``dict(model.linear)`` a plain dict.  Built
     models, and models read back from text that ``export_model`` wrote,
@@ -193,7 +193,13 @@ class QuboModel:
 
     def __post_init__(self) -> None:
         import numpy as np
-        m = self.num_vars
+        try:
+            m = int(operator.index(self.num_vars))
+        except TypeError:
+            raise ValueError(f"num_vars {self.num_vars!r} is not an integer") from None
+        if m < 1:
+            raise ValueError("num_vars must be positive")
+        object.__setattr__(self, "num_vars", m)
         for field, width, what in (("linear", 1, "linear index {}"), ("quadratic", 2, "quadratic index pair ({}, {})")):
             terms = getattr(self, field)
             converted = not isinstance(terms, _Terms)
@@ -233,8 +239,9 @@ def build_qubo(inst: CvrpInstance, penalty: Number | str = AUTO) -> QuboModel:
 
     Variable count is ``vehicles * dimension * (dimension - 1)`` route bits
     plus ``vehicles * capacity`` slack bits.  ``penalty`` is a positive
-    number, finite if a float, or ``"auto"``, which picks twice the node
-    count times the longest edge; terms are listed in ascending index order.
+    number, or ``"auto"``, which picks twice the node count times the
+    longest edge; a float penalty must leave every coefficient a finite
+    float.  Terms are listed in ascending index order.
     """
     import numpy as np
     if penalty == AUTO:
@@ -283,27 +290,33 @@ def build_qubo(inst: CvrpInstance, penalty: Number | str = AUTO) -> QuboModel:
         slack = vmap.num_route_vars + v * cap + np.arange(cap)
         squares.append((np.concatenate([carried, slack]), np.append(load[load != 0], [1] * cap), -cap))
 
-    offset: Number = 0
-    lin_keys = [arc[:, off_diag].ravel()]
-    lin_vals = [np.tile(weights[off_diag], k).astype(coeff_type)]
-    quad_keys, quad_vals = [], []
-    pair_lists = {n: np.triu_indices(n, 1) for n in {len(idx) for idx, _, _ in squares}}
-    for idx, coeffs, constant in squares:
-        c = np.broadcast_to(coeffs, idx.shape).astype(coeff_type)
-        offset += scale * constant * constant
-        lin_keys.append(idx)
-        lin_vals.append(scale * (c * c + 2 * constant * c))
-        p, q = pair_lists[len(idx)]
-        a, b = idx[p], idx[q]
-        quad_keys.append(np.minimum(a, b) * m + np.maximum(a, b))
-        quad_vals.append(2 * scale * c[p] * c[q])
-    i, j = np.triu_indices(nodes - 1, 1)  # i < j, so x[v, i -> j] has the smaller index
-    inner = arc[:, 1:, 1:]
-    quad_keys.append((inner[:, i, j] * m + inner[:, j, i]).ravel())
-    quad_vals.append(scale * np.ones(k * len(i), dtype=coeff_type))
+    try:  # a float penalty can take a product or a sum past float range
+        with np.errstate(over="raise", invalid="raise"):
+            offset: Number = 0
+            lin_keys = [arc[:, off_diag].ravel()]
+            lin_vals = [np.tile(weights[off_diag], k).astype(coeff_type)]
+            quad_keys, quad_vals = [], []
+            pair_lists = {n: np.triu_indices(n, 1) for n in {len(idx) for idx, _, _ in squares}}
+            for idx, coeffs, constant in squares:
+                c = np.broadcast_to(coeffs, idx.shape).astype(coeff_type)
+                offset += scale * constant * constant
+                lin_keys.append(idx)
+                lin_vals.append(scale * (c * c + 2 * constant * c))
+                p, q = pair_lists[len(idx)]
+                a, b = idx[p], idx[q]
+                quad_keys.append(np.minimum(a, b) * m + np.maximum(a, b))
+                quad_vals.append(2 * scale * c[p] * c[q])
+            i, j = np.triu_indices(nodes - 1, 1)  # i < j, so x[v, i -> j] has the smaller index
+            inner = arc[:, 1:, 1:]
+            quad_keys.append((inner[:, i, j] * m + inner[:, j, i]).ravel())
+            quad_vals.append(scale * np.ones(k * len(i), dtype=coeff_type))
 
-    lin_at, lin_sum = _accumulate(lin_keys, lin_vals)
-    quad_at, quad_sum = _accumulate(quad_keys, quad_vals)
+            lin_at, lin_sum = _accumulate(lin_keys, lin_vals)
+            quad_at, quad_sum = _accumulate(quad_keys, quad_vals)
+    except FloatingPointError:
+        offset = math.nan
+    if not _finite(offset):
+        raise ValueError(f"penalty {penalty!r} is too large: the model's terms would not be finite")
     return QuboModel(m, _Terms((lin_at, lin_sum)), _Terms((quad_at // m, quad_at % m, quad_sum)), offset, scale)
 
 
@@ -354,17 +367,12 @@ def _kind_arrays(terms: Mapping, width: int) -> tuple[np.ndarray, ...]:
     """The ``width`` key columns and the value column of a term mapping, in
     its order, with numpy scalars read as the Python numbers they equal."""
     import numpy as np
-    keys, values = list(terms), list(terms.values())
-    shaped = width == 1 or set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
-    flat = list(chain.from_iterable(keys)) if width > 1 and shaped else keys
-    if not (shaped and set(map(type, flat)) <= {int}):  # numpy integers, or a key to refuse
-        flat = [i for key in keys for i in _index_key(key, width)]
+    flat = [i for key in terms for i in _index_key(key, width)]
     try:
         flat = np.fromiter(flat, np.int64, len(flat))
     except OverflowError:  # an index past int64, so outside the model: kept exact to name it
         flat = np.array(flat, dtype=object)
-    if not set(map(type, values)) <= {int, float}:
-        values = [v.item() if isinstance(v, np.generic) else v for v in values]
+    values = [v.item() if isinstance(v, np.generic) else v for v in terms.values()]
     return (*(flat[i::width] for i in range(width)), _coefficients(values))
 
 

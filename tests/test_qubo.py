@@ -128,7 +128,7 @@ class TestBuildQubo:
         assert count_terms(model) == (4, 4)
 
     def test_count_terms_on_an_empty_model(self):
-        empty = QuboModel(num_vars=0, linear={}, quadratic={}, offset=3, penalty=1)
+        empty = QuboModel(num_vars=1, linear={}, quadratic={}, offset=3, penalty=1)
         assert count_terms(empty) == (0, 0)
 
     def test_objective_coefficients_on_depot_arcs(self, triangle):
@@ -949,7 +949,7 @@ def hand_models(draw) -> QuboModel:
     penalty = draw(
         st.one_of(st.integers(1, 2**70), st.floats(1e-3, 1e9), st.just(np.int64(3)), st.just(np.float64(0.5)))
     )
-    return QuboModel(m, linear, quadratic, offset, penalty)
+    return QuboModel(draw(st.sampled_from([m, np.int64(m)])), linear, quadratic, offset, penalty)
 
 
 @st.composite
@@ -1187,9 +1187,17 @@ class TestModelConstruction:
         with pytest.raises(ValueError, match=message):
             QuboModel(2, linear, quadratic, offset, penalty)
 
+    @pytest.mark.parametrize(
+        "num_vars, message",
+        [(0, "num_vars must be positive"), (-3, "num_vars must be positive"), (2.5, "num_vars 2.5 is not an integer")],
+    )
+    def test_variable_counts_that_do_not_read_back_are_refused(self, num_vars, message):
+        with pytest.raises(ValueError, match=message):
+            QuboModel(num_vars, {}, {}, 0, 1)
+
     def test_built_float_terms_past_float_range_are_refused(self, triangle):
-        # a finite penalty whose products overflow leaves inf terms, which no text reads back
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not a finite number"):
+        # a finite penalty whose products overflow would leave inf terms, which no text reads back
+        with pytest.raises(ValueError, match=r"penalty 1e\+308 is too large"):
             build_qubo(triangle, 1e308)
 
     def test_numpy_scalars_are_stored_as_python_numbers(self):
@@ -1203,7 +1211,8 @@ class TestModelConstruction:
         assert export_model(model) == "QUBO 2 0.5 3\nL 0 0.5\nL 1 5\nQ 0 1 1\n"
         assert [typed(item) for item in model.linear.items()] == [((0, int), (0.5, float)), ((1, int), (5, int))]
         assert typed(next(iter(model.quadratic.items()))) == (((0, int), (1, int)), (True, bool))
-        assert typed((model.offset, model.penalty)) == ((0.5, float), (3, int))
+        assert typed((model.num_vars, model.offset, model.penalty)) == ((2, int), (0.5, float), (3, int))
+        assert repr(model).startswith("QuboModel(num_vars=2, ")
         one = QuboModel(1, {0: np.int64(5)}, {}, np.int64(2), 1)
         assert typed(energy(one, "1")) == (7, int) and typed(energy(one, "0")) == (2, int)
 
