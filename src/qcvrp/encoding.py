@@ -162,22 +162,20 @@ def measurement_estimate(
     encoding: EncodingKind,
     size: float,
     max_weight: float,
-    constant: float = 1.0,
 ) -> float:
     """Measurement-shot estimate at problem size ``size``.
 
     Scales with the largest edge weight: ``size**3 * max_weight`` for QUBO
-    and ``size**2 * max_weight`` for HOBO, times a configurable leading
-    constant (default 1).  Integral arguments give an exact integer, so the
-    HOBO/QUBO ratio is exactly ``1 / size`` even beyond 2**53.
+    and ``size**2 * max_weight`` for HOBO.  Integral arguments give an
+    exact integer, so the HOBO/QUBO ratio is exactly ``1 / size`` even
+    beyond 2**53.
     """
     _require_positive_number(size, "size")
     _require_positive_number(max_weight, "max_weight")
-    _require_positive_number(constant, "constant")
     power = 3 if encoding is EncodingKind.QUBO else 2
-    if all(float(x).is_integer() for x in (size, max_weight, constant)):
-        return int(constant) * int(size) ** power * int(max_weight)
-    return constant * size**power * max_weight
+    if all(float(x).is_integer() for x in (size, max_weight)):
+        return int(size) ** power * int(max_weight)
+    return size**power * max_weight
 
 
 def depth_estimate(qubit_count: int, layers: int = DEFAULT_LAYERS) -> int:

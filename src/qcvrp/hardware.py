@@ -10,7 +10,7 @@ region below and left of that point.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -30,10 +30,12 @@ class HardwareProfile:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("profile name must be nonempty")
-        if not isinstance(self.n_max, int) or self.n_max < 1:
-            raise ValueError("n_max must be a positive integer")
-        if not isinstance(self.d_max, int) or self.d_max < 1:
-            raise ValueError("d_max must be a positive integer")
+        for field in ("n_max", "d_max"):
+            budget = getattr(self, field)
+            if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+                raise ValueError(f"{field} must be a positive integer")
+            if budget > sys.float_info.max:  # margins and diagram axes divide it as a float
+                raise ValueError(f"{field} must be a positive integer within float range")
 
 
 @dataclass(frozen=True)
@@ -59,13 +61,12 @@ def classify(estimate: ResourceEstimate, profile: HardwareProfile) -> Feasibilit
     """
     qubit_ok = estimate.qubits <= profile.n_max
     depth_ok = estimate.depth <= profile.d_max
-    depth_margin = profile.d_max / estimate.depth if estimate.depth else math.inf
     return FeasibilityVerdict(
         qubit_ok=qubit_ok,
         depth_ok=depth_ok,
         feasible=qubit_ok and depth_ok,
         qubit_margin=profile.n_max / estimate.qubits,
-        depth_margin=depth_margin,
+        depth_margin=profile.d_max / estimate.depth,
     )
 
 

@@ -57,7 +57,8 @@ def infer_vehicle_count(name: str, demands: Sequence[int], capacity: int) -> int
 
 
 def _int_row(values: Sequence[object], what: str, *where: int) -> tuple[int, ...]:
-    """``values`` as a tuple of ints; ``what.format(*where, j)`` names entry ``j``.
+    """``values`` as a tuple of ints; ``what.format(*where, j)`` names entry
+    ``j``, and a ``what`` without a field names a single value.
 
     A row of exact ints is kept as it is, and any other row goes through
     ``int()`` entry by entry.  A number that is not finite or not whole
@@ -87,8 +88,11 @@ class CvrpInstance:
     """One capacitated vehicle-routing instance.
 
     Nodes are numbered 0..dimension-1 with the depot at node 0.  ``demands``
-    and (when present) ``coords`` carry one entry per node.  Instances are
-    immutable, hashable by field content, and safe to share across threads.
+    and (when present) ``coords`` carry one entry per node.  The size
+    fields, demands and edge weights are stored as plain ints, and a value
+    that is not a whole number raises :class:`InvalidInstance`.  Instances
+    are immutable, hashable by field content, and safe to share across
+    threads.
     """
 
     name: str
@@ -99,9 +103,10 @@ class CvrpInstance:
     weight_kind: WeightKind
     coords: tuple[tuple[float, float], ...] | None = None
     explicit_weights: tuple[tuple[int, ...], ...] | None = None
-    depot: int = 0
 
     def __post_init__(self) -> None:
+        for field in ("dimension", "capacity", "vehicles"):
+            object.__setattr__(self, field, _int_row((getattr(self, field),), field)[0])
         object.__setattr__(self, "demands", _int_row(self.demands, "demand of node {}"))
         if self.coords is not None:
             object.__setattr__(
@@ -130,13 +135,11 @@ class CvrpInstance:
             raise InvalidInstance("capacity must be positive")
         if self.vehicles < 1:
             raise InvalidInstance("vehicle count must be at least 1")
-        if self.depot != 0:
-            raise InvalidInstance("the depot must sit at node 0 (parse normalizes this)")
         if len(self.demands) != self.dimension:
             raise InvalidInstance("demands must list one value per node")
         if any(q < 0 for q in self.demands):
             raise InvalidInstance("demands must be nonnegative")
-        if self.demands[self.depot] != 0:
+        if self.demands[0] != 0:
             raise InvalidInstance("the depot must have zero demand")
         if self.weight_kind is WeightKind.EUC_2D:
             if self.coords is None or len(self.coords) != self.dimension:

@@ -121,7 +121,9 @@ class _Terms(Mapping):
 
     def _items(self) -> dict:
         if self._dict is None:
-            self._dict = _array_dict(self._arrays)
+            *columns, values = (a.tolist() for a in self._arrays)
+            keys = columns[0] if len(columns) == 1 else zip(*columns)
+            self._dict = dict(zip(keys, values))
         return self._dict
 
     def __len__(self) -> int:
@@ -339,22 +341,11 @@ def _accumulate(keys: list[np.ndarray], values: list[np.ndarray]) -> tuple[np.nd
     return keys[first][nonzero], sums[nonzero]
 
 
-def _array_dict(arrays: tuple[np.ndarray, ...]) -> dict:
-    """A plain dict, in array order, from key columns and a value column;
-    the keys share one int object per index."""
-    import numpy as np
-    *columns, values = arrays
-    table, codes = _index_codes(tuple(columns))
-    names = np.array(table.tolist(), dtype=object)
-    keys = [names[c].tolist() for c in codes]
-    return dict(zip(keys[0] if len(keys) == 1 else zip(*keys), values.tolist()))
-
-
 def _index_codes(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
     """A table of index values and each column's positions in it, so that
-    every index is converted once.  The table is ``0..max`` and the columns
-    are their own positions, unless the indices are sparser than the terms:
-    then it holds only the indices that occur."""
+    :func:`export_model` formats every index once.  The table is ``0..max``
+    and the columns are their own positions, unless the indices are sparser
+    than the terms: then it holds only the indices that occur."""
     import numpy as np
     size = max(int(c.max(initial=-1)) for c in columns) + 1
     if size <= sum(map(len, columns)):
@@ -413,12 +404,12 @@ def _all_finite(values: np.ndarray) -> bool:
     return values.dtype.kind == "i" or all(map(_finite, values.tolist()))
 
 
-def _check_assignment(model: QuboModel, assignment: str) -> list[int]:
+def _check_assignment(model: QuboModel, assignment: str) -> None:
+    """Raise unless ``assignment`` holds one '0' or '1' per model variable."""
     if len(assignment) != model.num_vars:
         raise LengthMismatch(f"assignment has {len(assignment)} bits, model has {model.num_vars} variables")
     if set(assignment) - {"0", "1"}:
         raise ValueError("assignment must be a string over '0' and '1'")
-    return [1 if c == "1" else 0 for c in assignment]
 
 
 def energy(model: QuboModel, assignment: str) -> Number:
@@ -532,8 +523,6 @@ def brute_force_solve(model: QuboModel) -> tuple[str, Number]:
     """
     import numpy as np
     m = model.num_vars
-    if m < 1:
-        raise ValueError("the model has no variables")
     if m > _DENSE_VARS:
         raise TooLarge(f"{m} variables exceed the dense bound of {_DENSE_VARS}")
     lin, quad, offset = _dense(model)
@@ -632,12 +621,12 @@ def decode_routes(model: QuboModel, assignment: str, inst: CvrpInstance) -> Rout
     vmap = VariableMap(inst.dimension, inst.vehicles, inst.capacity)
     if model.num_vars != vmap.num_vars:
         raise ValueError(f"the model has {model.num_vars} variables, the instance's layout {vmap.num_vars}")
-    bits = _check_assignment(model, assignment)
+    _check_assignment(model, assignment)
     nodes, k = vmap.nodes, vmap.vehicles
 
     arcs: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for flat in range(vmap.num_route_vars):
-        if bits[flat]:
+        if assignment[flat] == "1":
             var = vmap.route_var(flat)
             arcs[var.v].append((var.i, var.j))
 
@@ -875,18 +864,12 @@ def _parse_lines(lines: Iterator[tuple[int, str]], num_vars: int) -> tuple[dict,
         if not parts:
             continue
         if parts[0] == "L" and len(parts) == 3:
-            try:
-                a = int(parts[1])
-            except ValueError:
-                a = _parse_int(parts[1], lineno, "index")  # raises, naming the line
+            a = _parse_int(parts[1], lineno, "index")
             if not 0 <= a < num_vars:
                 raise ValueError(f"model line {lineno}: index {a} out of range")
             linear[a] = linear.get(a, 0) + _parse_number(parts[2], lineno)
         elif parts[0] == "Q" and len(parts) == 4:
-            try:
-                a, b = int(parts[1]), int(parts[2])
-            except ValueError:  # _parse_int raises, naming the line and the token
-                a, b = (_parse_int(tok, lineno, "index") for tok in parts[1:3])
+            a, b = (_parse_int(tok, lineno, "index") for tok in parts[1:3])
             if a == b or not (0 <= a < num_vars and 0 <= b < num_vars):
                 raise ValueError(f"model line {lineno}: bad index pair ({a}, {b})")
             key = (a, b) if a < b else (b, a)

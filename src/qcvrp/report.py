@@ -258,7 +258,6 @@ def _diagram_svg(points: list[DiagramPoint], profile: HardwareProfile) -> str:
                 float(p.n), float(p.d)
             except OverflowError:
                 raise SchemaError(p.label, str(exc)) from None
-        raise
     x_lo, x_hi = _decade_range(xs)
     y_lo, y_hi = _decade_range(ys)
     plot_w = _SVG_W - _ML - _MR

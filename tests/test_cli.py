@@ -152,6 +152,18 @@ class TestClassify:
         assert code == 0
         assert "feasible: no" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "INSTANCE"], ["diagram"], ["diagram", "--format", "csv"]],
+        ids=["classify", "svg diagram", "csv diagram"],
+    )
+    def test_budget_past_float_range_is_refused_by_name(self, capsys, triangle_file, tmp_path, argv):
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(f'{{"profiles": [{{"name": "big", "n_max": {10**400}, "d_max": 10}}]}}', encoding="utf-8")
+        argv = [triangle_file if arg == "INSTANCE" else arg for arg in argv]
+        expected = "error: bad configuration field: big (n_max must be a positive integer within float range)\n"
+        assert run_cli(capsys, *argv, "--profiles", str(profiles), "--profile", "big") == (1, "", expected)
+
 
 class TestTable:
     def test_bundled_table(self, capsys):
@@ -285,6 +297,23 @@ class TestQuboAndSolve:
         assert "route cost: 12" in out
         assert "vehicle 0: 0-2-1-0" in out
         assert "violations: none" in out
+
+    def test_solve_instance_lists_each_violation(self, capsys, tmp_path):
+        # three vehicles must each leave the depot once, but there are only two customers
+        path = tmp_path / "three.vrp"
+        text = vrp_text("three", [(0, 0), (0, 3), (4, 0)], [0, 1, 1], capacity=10, vehicles=3)
+        path.write_text(text, encoding="utf-8")
+        expected = (
+            "assignment: 010010101000101000011111111101111111110111111111\n"
+            "energy: 50\n"
+            "route cost: 20\n"
+            "vehicle 0: 0-2-0\n"
+            "vehicle 1: 0-1-0\n"
+            "vehicle 2: 0-1-0\n"
+            "violations: 1\n"
+            "  visit-count node 1: left 2 times, expected 1\n"
+        )
+        assert run_cli(capsys, "solve", str(path)) == (0, expected, "")
 
     def test_explicit_penalty(self, capsys, triangle_file):
         code, out, _ = run_cli(capsys, "qubo", triangle_file, "--penalty", "30")

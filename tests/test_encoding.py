@@ -106,7 +106,6 @@ class TestScalings:
     def test_measurements_scale_with_max_weight(self):
         assert measurement_estimate(EncodingKind.QUBO, 10, 7) == 7000
         assert measurement_estimate(EncodingKind.HOBO, 10, 7) == 700
-        assert measurement_estimate(EncodingKind.QUBO, 10, 7, constant=2.5) == 17500
 
     @given(size=st.integers(2, 10_000), weight=st.integers(1, 10_000))
     def test_measurement_ratio_is_exactly_one_over_n(self, size, weight):
@@ -168,6 +167,24 @@ class TestResourceEstimate:
                 quantum_volume=499,
                 error_rate_threshold=1.0 / 499,
             )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"terms": -1.0}, "terms must be nonnegative"),
+            ({"error_rate_threshold": 1.0 / 499}, "error_rate_threshold must be the reciprocal quantum volume"),
+        ],
+        ids=["negative figure", "error rate"],
+    )
+    def test_refusals_name_the_figure(self, change, message):
+        figures = dict(qubits=10, terms=5000.0, depth=50, circuit_volume=1.0, measurements=1.0)
+        with pytest.raises(ValueError) as exc:
+            ResourceEstimate(
+                encoding=EncodingKind.HOBO,
+                quantum_volume=500,
+                **{"error_rate_threshold": 1.0 / 500, **figures, **change},
+            )
+        assert str(exc.value) == message
 
     def test_estimate_for_parsed_instance(self, triangle_text):
         inst = parse_instance(triangle_text)

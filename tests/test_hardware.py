@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -170,6 +171,32 @@ class TestProfileConfig:
         doc = json.dumps({"profiles": [{"name": "a", "n_max": 0, "d_max": 1}]})
         with pytest.raises(SchemaError):
             load_profiles(doc)
+
+    @pytest.mark.parametrize(
+        "n_max, d_max, message",
+        [
+            (True, 5, "n_max must be a positive integer"),
+            (5, True, "d_max must be a positive integer"),
+            (10**400, 5, "n_max must be a positive integer within float range"),
+            (5, 2**1024, "d_max must be a positive integer within float range"),
+        ],
+        ids=["bool n_max", "bool d_max", "10**400", "2**1024"],
+    )
+    def test_bool_and_oversized_budgets_refused(self, n_max, d_max, message):
+        with pytest.raises(ValueError) as exc:
+            HardwareProfile("x", n_max, d_max)
+        assert str(exc.value) == message
+
+    def test_budget_past_float_range_names_the_profile(self):
+        doc = json.dumps({"profiles": [{"name": "big", "n_max": 10**400, "d_max": 5}]})
+        with pytest.raises(SchemaError) as exc:
+            load_profiles(doc)
+        assert str(exc.value) == "bad configuration field: big (n_max must be a positive integer within float range)"
+
+    def test_largest_float_budget_is_accepted(self):
+        largest = int(sys.float_info.max)
+        verdict = classify(synthetic_estimate(10), HardwareProfile("x", largest, largest))
+        assert verdict.feasible and verdict.qubit_margin == largest / 10
 
 
 class TestDefaultProfiles:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import vrp_text
+from conftest import TRIANGLE_TEXT, vrp_text
 from qcvrp import (
     CvrpError,
     CvrpInstance,
@@ -334,6 +334,18 @@ class TestParseErrors:
         with pytest.raises(MissingSection, match="DEMAND_SECTION"):
             parse_instance(text)
 
+    @pytest.mark.parametrize(
+        "text, section",
+        [(TRIANGLE_TEXT, "NODE_COORD_SECTION"), (EXPLICIT_TEXT, "EDGE_WEIGHT_SECTION")],
+        ids=["EUC_2D", "EXPLICIT"],
+    )
+    def test_missing_node_data_section(self, text, section):
+        lines = text.splitlines()
+        start = lines.index(section)
+        with pytest.raises(MissingSection) as exc:
+            parse_instance("\n".join(lines[:start] + lines[start + 4 :]))  # the header and its three rows
+        assert str(exc.value) == f"missing required keyword or section: {section}"
+
     def test_unknown_section_reports_line_number(self, triangle_text):
         text = triangle_text.replace("DEMAND_SECTION", "WEIRD_SECTION")
         with pytest.raises(MalformedLine, match="unknown section 'WEIRD_SECTION'") as err:
@@ -481,6 +493,29 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstance, match="demand of node 2 must be an integer"):
             euclidean([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], capacity=5, demands=[0, 1, bad])
 
+    @pytest.mark.parametrize(
+        "kind, change, message",
+        [
+            ("EUC_2D", {"weight_kind": "EUC_2D"}, "weight_kind must be a WeightKind, got 'EUC_2D'"),
+            ("EUC_2D", {"demands": (0, 1)}, "demands must list one value per node"),
+            ("EUC_2D", {"coords": None}, "EUC_2D instances need one coordinate pair per node"),
+            ("EXPLICIT", {"explicit_weights": None}, "EXPLICIT instances need a full weight matrix"),
+            ("EXPLICIT", {"explicit_weights": ((0, 1, 2), (1, 0, -3), (2, 3, 0))}, "edge weights must be nonnegative"),
+            ("EUC_2D", {"explicit_weights": ((0, 3, 4), (3, 0, 5), (4, 5, 0))},
+             "only EXPLICIT instances carry a weight matrix"),
+        ],
+        ids=["weight kind", "demand count", "no coordinates", "no matrix", "negative weight", "matrix on EUC_2D"],
+    )
+    def test_constructor_refusals_name_the_rule(self, kind, change, message):
+        fields = {
+            "EUC_2D": {"weight_kind": WeightKind.EUC_2D, "coords": ((0.0, 0.0), (0.0, 3.0), (4.0, 0.0))},
+            "EXPLICIT": {"weight_kind": WeightKind.EXPLICIT, "explicit_weights": ((0, 1, 2), (1, 0, 3), (2, 3, 0))},
+        }[kind]
+        fields = {"name": "x", "dimension": 3, "capacity": 2, "vehicles": 1, "demands": (0, 1, 1), **fields}
+        with pytest.raises(InvalidInstance) as exc:
+            CvrpInstance(**{**fields, **change})
+        assert str(exc.value) == message
+
     def test_matrix_must_be_square(self):
         with pytest.raises(InvalidInstance, match="dimension x dimension"):
             CvrpInstance(
@@ -547,6 +582,29 @@ class TestIntNormalisation:
         inst = self.build(self.WEIGHTS, demands)
         assert inst.demands == (0, 1, 1)
         assert {type(q) for q in inst.demands} == {int}
+
+    @pytest.mark.parametrize(
+        "field, form",
+        [(f, form) for f in ("dimension", "capacity", "vehicles") for form in ("numpy int64", "digit string", "whole float")]
+        + [("vehicles", "bool")],  # True stands for 1, the value of vehicles here
+    )
+    def test_size_fields_store_plain_ints(self, field, form):
+        import numpy as np
+
+        value = getattr(self.build(self.WEIGHTS), field)
+        given = {"numpy int64": np.int64(value), "digit string": str(value), "whole float": float(value), "bool": True}
+        given = given[form]
+        inst = dataclasses.replace(self.build(self.WEIGHTS), **{field: given})
+        assert (inst.dimension, inst.capacity, inst.vehicles) == (3, 2, 1)
+        assert type(getattr(inst, field)) is int
+        assert build_qubo(inst) == build_qubo(self.build(self.WEIGHTS))
+
+    @pytest.mark.parametrize("field", ["dimension", "capacity", "vehicles"])
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
+    def test_fractional_size_field_refused(self, field, bad):
+        with pytest.raises(InvalidInstance) as exc:
+            dataclasses.replace(self.build(self.WEIGHTS), **{field: bad})
+        assert str(exc.value) == f"{field} must be an integer, got {bad!r}"
 
     def test_int_rows_are_kept_not_rebuilt(self):
         inst = self.build(self.WEIGHTS)

@@ -1032,9 +1032,11 @@ class TestArrayBackedModels:
         assert " at 0x" not in repr(built) and repr(built) == repr(parse_model(text)) and built == parse_model(text)
 
     def test_reading_and_solving_build_no_dicts(self, triangle, monkeypatch):
-        dicts, arrays = [], []  # one entry per term kind converted
-        real_dict, real_values = qubo_module._array_dict, qubo_module._coefficients
-        monkeypatch.setattr(qubo_module, "_array_dict", lambda *a: dicts.append(1) or real_dict(*a))
+        def dicts(*models):  # which term kinds hold a dict, per model
+            return [(m.linear._dict is not None, m.quadratic._dict is not None) for m in models]
+
+        arrays = []  # one entry per term mapping converted at construction
+        real_values = qubo_module._coefficients
         monkeypatch.setattr(qubo_module, "_coefficients", lambda *a: arrays.append(1) or real_values(*a))
         text = export_model(build_qubo(triangle))
         model = parse_model(text)
@@ -1043,16 +1045,16 @@ class TestArrayBackedModels:
         assert brute_force_solve(model) == (OPT_TOUR_BITS, 12)
         assert len(model.linear) == 8 and len(model.quadratic) == 20
         assert model == parse_model(text)  # equal arrays of one dtype need no dict
-        assert dicts == []
+        assert dicts(model) == [(False, False)]
         assert model.quadratic[0, 1] == 60  # a read builds that kind's dict and keeps its arrays
-        assert dicts == [1]
+        assert dicts(model) == [(False, True)]
         assert export_model(model) == text
         assert arrays == []
         given = dataclasses.replace(model, linear=dict(model.linear))  # a mapping is converted once, here
-        assert (dicts, arrays) == ([1, 1], [1])
+        assert dicts(model, given) == [(True, True), (False, True)] and arrays == [1]
         assert export_model(given) == text and energy(given, OPT_TOUR_BITS) == 12
         assert count_terms(given) == (8, 20) and brute_force_solve(given) == (OPT_TOUR_BITS, 12)
-        assert (dicts, arrays) == ([1, 1], [1])
+        assert dicts(model, given) == [(True, True), (False, True)] and arrays == [1]
         line_read = parse_model(text.replace("\n", "\n\n"))  # the line parser's dicts too
         assert export_model(line_read) == text and count_terms(line_read) == (8, 20)
         assert arrays == [1, 1, 1]
