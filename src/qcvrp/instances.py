@@ -61,23 +61,20 @@ def _int_row(values: Sequence[object], what: str, *where: int) -> tuple[int, ...
     ``j``, and a ``what`` without a field names a single value.
 
     A row of exact ints is kept as it is, and any other row goes through
-    ``int()`` entry by entry.  A number that is not finite or not whole
-    raises :class:`InvalidInstance` instead of being truncated.  Strings
-    are parsed by ``int()`` alone.
+    ``int()`` entry by entry.  A value that ``int()`` refuses, and a number
+    that is not whole, raise :class:`InvalidInstance` instead of being
+    truncated.  Strings are parsed by ``int()`` alone.
     """
     values = tuple(values)
     if set(map(type, values)) <= {int}:
         return values
     row = []
     for j, value in enumerate(values):
-        if isinstance(value, str):
-            row.append(int(value))
-            continue
         try:
             whole = int(value)
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError, TypeError):
             whole = None
-        if whole is None or whole != value:
+        if whole is None or not isinstance(value, str) and whole != value:
             raise InvalidInstance(f"{what.format(*where, j)} must be an integer, got {value!r}")
         row.append(whole)
     return tuple(row)
@@ -193,15 +190,30 @@ def edge_weight(inst: CvrpInstance, i: int, j: int) -> int:
     return inst.explicit_weights[i][j]
 
 
+def arc_weights(inst: CvrpInstance, tails: np.ndarray, heads: np.ndarray) -> list[int]:
+    """``edge_weight(inst, i, j)`` for each pair of distinct nodes ``(i, j)``
+    taken from two index arrays, as Python ints."""
+    if inst.weight_kind is WeightKind.EUC_2D:
+        import numpy as np
+        pts = np.asarray(inst.coords, dtype=np.float64)
+        return _rounded_lengths(pts[tails] - pts[heads]).tolist()
+    assert inst.explicit_weights is not None
+    return [inst.explicit_weights[i][j] for i, j in zip(tails.tolist(), heads.tolist())]
+
+
+def _rounded_lengths(diff: np.ndarray) -> np.ndarray:
+    # the length of each last-axis (dx, dy), rounded half up as edge_weight rounds
+    import numpy as np
+    return np.floor(np.sqrt((diff * diff).sum(axis=-1)) + 0.5).astype(np.int64)
+
+
 def weight_matrix(inst: CvrpInstance) -> np.ndarray:
     """Full integer distance matrix with a zero diagonal."""
     import numpy as np
     if inst.weight_kind is WeightKind.EUC_2D:
         assert inst.coords is not None
         pts = np.asarray(inst.coords, dtype=np.float64)
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        mat = np.floor(dist + 0.5).astype(np.int64)
+        mat = _rounded_lengths(pts[:, None, :] - pts[None, :, :])
     else:
         assert inst.explicit_weights is not None
         mat = np.asarray(inst.explicit_weights, dtype=np.int64)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .errors import LengthMismatch, TooLarge
-from .instances import CvrpInstance, edge_weight, max_edge_weight, weight_matrix
+from .instances import CvrpInstance, arc_weights, max_edge_weight, weight_matrix
 
 AUTO = "auto"
 
@@ -278,36 +278,44 @@ def build_qubo(inst: CvrpInstance, penalty: Number | str = AUTO) -> QuboModel:
     wide = (n_squares + 2) * max(int(weights.max()), 3 * int_scale * biggest * biggest) >= 2**63
     coeff_type = object if wide else np.int64
     load = np.repeat(np.array(inst.demands[1:], dtype=coeff_type), nodes - 1)
+    # out_arcs[v, i] lists x[v, i -> j] and in_arcs[v, i] lists x[v, j -> i],
+    # both over j != i ascending.
+    out_arcs = arc[:, off_diag].reshape(k, nodes, nodes - 1)
+    in_arcs = arc.transpose(0, 2, 1)[:, off_diag].reshape(k, nodes, nodes - 1)
+    slack = vmap.num_route_vars + np.arange(k * cap).reshape(k, cap)
 
-    # Squared penalties scale * (sum c_a * x_a + constant)**2 as (indices,
-    # coefficients, constant), in the order that float sums follow.
-    squares = [(arc[:, i, off_diag[i]].ravel(), 1, -1) for i in range(1, nodes)]
-    for v in range(k):
-        squares.append((arc[v, 0, 1:], 1, -1))
-        squares.append((arc[v, 1:, 0], 1, -1))
-        for i in range(1, nodes):
-            out_in = np.concatenate([arc[v, i, off_diag[i]], arc[v, off_diag[i], i]])
-            squares.append((out_in, np.repeat([1, -1], nodes - 1), 0))
-        carried = arc[v, 1:][off_diag[1:]][load != 0]
-        slack = vmap.num_route_vars + v * cap + np.arange(cap)
-        squares.append((np.concatenate([carried, slack]), np.append(load[load != 0], [1] * cap), -cap))
+    # Squared penalties scale * (sum c_a * x_a + constant)**2, one family at
+    # a time as (one row of indices per square, coefficients per column,
+    # constant).  Only the visit-count squares, listed first, mix vehicles,
+    # so every key's terms come in the order of the per-vehicle squares.
+    families = [
+        (out_arcs[:, 1:].transpose(1, 0, 2).reshape(nodes - 1, -1), 1, -1),
+        (out_arcs[:, 0], 1, -1),
+        (in_arcs[:, 0], 1, -1),
+        (np.concatenate([out_arcs[:, 1:], in_arcs[:, 1:]], axis=2).reshape(k * (nodes - 1), -1),
+         np.repeat([1, -1], nodes - 1), 0),
+        (np.concatenate([out_arcs[:, 1:].reshape(k, -1)[:, load != 0], slack], axis=1),
+         np.append(load[load != 0], [1] * cap), -cap),
+    ]
 
     try:  # a float penalty can take a product or a sum past float range
         with np.errstate(over="raise", invalid="raise"):
             offset: Number = 0
-            lin_keys = [arc[:, off_diag].ravel()]
+            # the float sum adds the squares' constants vehicle by vehicle
+            for constant in [-1] * (nodes - 1) + ([-1, -1] + [0] * (nodes - 1) + [-cap]) * k:
+                offset += scale * constant * constant
+            lin_keys = [out_arcs.ravel()]
             lin_vals = [np.tile(weights[off_diag], k).astype(coeff_type)]
             quad_keys, quad_vals = [], []
-            pair_lists = {n: np.triu_indices(n, 1) for n in {len(idx) for idx, _, _ in squares}}
-            for idx, coeffs, constant in squares:
-                c = np.broadcast_to(coeffs, idx.shape).astype(coeff_type)
-                offset += scale * constant * constant
-                lin_keys.append(idx)
-                lin_vals.append(scale * (c * c + 2 * constant * c))
-                p, q = pair_lists[len(idx)]
-                a, b = idx[p], idx[q]
-                quad_keys.append(np.minimum(a, b) * m + np.maximum(a, b))
-                quad_vals.append(2 * scale * c[p] * c[q])
+            for idx, coeffs, constant in families:
+                rows, width = idx.shape
+                c = np.broadcast_to(coeffs, width).astype(coeff_type)
+                p, q = np.triu_indices(width, 1)
+                a, b = idx[:, p], idx[:, q]
+                lin_keys.append(idx.ravel())
+                lin_vals.append(np.tile(scale * (c * c + 2 * constant * c), rows))
+                quad_keys.append((np.minimum(a, b) * m + np.maximum(a, b)).ravel())
+                quad_vals.append(np.tile(2 * scale * c[p] * c[q], rows))
             i, j = np.triu_indices(nodes - 1, 1)  # i < j, so x[v, i -> j] has the smaller index
             inner = arc[:, 1:, 1:]
             quad_keys.append((inner[:, i, j] * m + inner[:, j, i]).ravel())
@@ -618,29 +626,29 @@ def decode_routes(model: QuboModel, assignment: str, inst: CvrpInstance) -> Rout
     not it made it into a walk.  A model of another size than the
     instance's :class:`VariableMap` raises ``ValueError``.
     """
+    import numpy as np
     vmap = VariableMap(inst.dimension, inst.vehicles, inst.capacity)
     if model.num_vars != vmap.num_vars:
         raise ValueError(f"the model has {model.num_vars} variables, the instance's layout {vmap.num_vars}")
     _check_assignment(model, assignment)
     nodes, k = vmap.nodes, vmap.vehicles
 
+    # the set route bits, as VariableMap.route_var reads them
+    flat = np.flatnonzero(np.frombuffer(assignment.encode(), dtype=np.uint8)[: vmap.num_route_vars] == ord("1"))
+    vehicle, rest = np.divmod(flat, nodes * (nodes - 1))
+    tail, j_rank = np.divmod(rest, nodes - 1)
+    head = j_rank + (j_rank >= tail)
     arcs: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for flat in range(vmap.num_route_vars):
-        if assignment[flat] == "1":
-            var = vmap.route_var(flat)
-            arcs[var.v].append((var.i, var.j))
+    for v, i, j in zip(vehicle.tolist(), tail.tolist(), head.tolist()):
+        arcs[v].append((i, j))
+    degrees = np.zeros((2, k, nodes), dtype=np.int64)
+    np.add.at(degrees, (0, vehicle, tail), 1)
+    np.add.at(degrees, (1, vehicle, head), 1)
+    out_deg, in_deg = degrees.tolist()
+    total_cost = sum(arc_weights(inst, tail, head))  # exact: ints of any size
 
-    total_cost = 0
     violations: list[Violation] = []
     routes: list[list[int]] = []
-
-    out_deg = [[0] * nodes for _ in range(k)]
-    in_deg = [[0] * nodes for _ in range(k)]
-    for v in range(k):
-        for i, j in arcs[v]:
-            out_deg[v][i] += 1
-            in_deg[v][j] += 1
-            total_cost += edge_weight(inst, i, j)
 
     for i in range(1, nodes):
         departures = sum(out_deg[v][i] for v in range(k))
@@ -813,32 +821,34 @@ def _canonical_terms(body: str, num_vars: int) -> tuple[np.ndarray, ...] | None:
     if raw.translate(None, _LAYOUT_BYTES):  # a byte no integer model writes
         return None
     buf = np.frombuffer(raw, dtype=np.uint8)
-    seps = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
-    ends = seps[buf[seps] == ord("\n")]
+    seps = np.flatnonzero(buf <= ord(" "))  # spaces and newlines
+    newline_ranks = np.flatnonzero(buf[seps] == ord("\n"))
+    ends = seps[newline_ranks]
     starts = np.concatenate([[0], ends[:-1] + 1])
     heads = buf[starts]
     n_lin = int(np.count_nonzero(heads == ord("L")))
-    # An L line holds two spaces and a newline, a Q line one space more.
-    per_line = 3 + (heads == ord("Q"))
-    first = np.cumsum(per_line) - per_line
+    # An L line holds two spaces and a newline, a Q line one space more, so
+    # the newlines are separators 2, 5, 8, ... and then every fourth.
+    line = np.arange(len(ends))
     signs = np.flatnonzero(buf == ord("-"))
     gaps = np.diff(seps)
     if not (
         (heads[:n_lin] == ord("L")).all()
         and (heads[n_lin:] == ord("Q")).all()
-        and raw.count(b"L") + raw.count(b"Q") == len(heads)  # letters only at line starts
-        and len(seps) == per_line.sum()
-        and (seps[first] == starts + 1).all()
-        and (seps[first + per_line - 1] == ends).all()
+        and np.count_nonzero(buf > ord("9")) == len(heads)  # letters only at line starts
+        and np.array_equal(newline_ranks, 3 * line + 2 + np.maximum(line - n_lin + 1, 0))
         # every token is one to _FAST_DIGITS digits after at most one sign
         and gaps.min(initial=2) >= 2
         and (buf[signs - 1] == ord(" ")).all()
         and ((buf[signs + 1] >= ord("0")) & (buf[signs + 1] <= ord("9"))).all()
-        and (gaps - (buf[seps[:-1] + 1] == ord("-"))).max(initial=0) <= _FAST_DIGITS + 1
+        and (
+            gaps.max(initial=0) <= _FAST_DIGITS + 1
+            or (gaps - (buf[seps[:-1] + 1] == ord("-"))).max() <= _FAST_DIGITS + 1
+        )
     ):
         return None
     values = np.fromstring(raw.translate(_HEADS_TO_SPACES), dtype=np.int64, sep=" ")
-    if len(values) != len(seps) - len(ends):
+    if len(values) != len(seps) - len(ends):  # one more per letter that no space follows
         return None
     lin = values[: 2 * n_lin].reshape(-1, 2)
     quad = values[2 * n_lin :].reshape(-1, 3)

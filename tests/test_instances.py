@@ -606,6 +606,20 @@ class TestIntNormalisation:
             dataclasses.replace(self.build(self.WEIGHTS), **{field: bad})
         assert str(exc.value) == f"{field} must be an integer, got {bad!r}"
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"capacity": "2.5"}, "capacity must be an integer, got '2.5'"),
+            ({"demands": (0, "1.0", 1)}, "demand of node 1 must be an integer, got '1.0'"),
+            ({"vehicles": "x"}, "vehicles must be an integer, got 'x'"),
+            ({"capacity": None}, "capacity must be an integer, got None"),
+        ],
+    )
+    def test_values_int_refuses_are_named(self, change, message):
+        with pytest.raises(InvalidInstance) as exc:
+            dataclasses.replace(self.build(self.WEIGHTS), **change)
+        assert str(exc.value) == message
+
     def test_int_rows_are_kept_not_rebuilt(self):
         inst = self.build(self.WEIGHTS)
         assert all(kept is given for kept, given in zip(inst.explicit_weights, self.WEIGHTS))

@@ -34,7 +34,7 @@ from qcvrp import (
     parse_model,
     qubo_qubits,
 )
-from qcvrp.instances import max_edge_weight, weight_matrix
+from qcvrp.instances import edge_weight, max_edge_weight, weight_matrix
 from qcvrp.qubo import (
     CAPACITY,
     DEPOT_DEPARTURE,
@@ -42,7 +42,9 @@ from qcvrp.qubo import (
     FLOW_BALANCE,
     SUBTOUR,
     VISIT_COUNT,
+    RouteDecoding,
     VarIndex,
+    Violation,
     _canonical_terms,
     _index_codes,
     _Terms,
@@ -288,6 +290,21 @@ class TestBuilderEquivalence:
             return {key: c for key, c in terms.items() if key not in pairs}
 
         assert without_pairs(model.quadratic) == without_pairs(relaxed.quadratic)
+
+    @pytest.mark.parametrize(
+        "penalty, header", [(0.1, "QUBO 543 189.29999999999998 0.1"), (AUTO, "QUBO 543 984360 520")]
+    )
+    def test_matches_the_closure_builder_past_six_nodes(self, penalty, header):
+        # 13 nodes: the float offset must add the squares' constants in the
+        # closure builder's order to read 189.29999999999998, not 189.3
+        inst = family_instance(random.Random(40), 12, 3, 25)
+        model, reference = build_qubo(inst, penalty), closure_build(inst, penalty)
+        for got, want in ((model.linear, reference.linear), (model.quadratic, reference.quadratic)):
+            assert as_list(got) == sorted(as_list(want))
+        assert model.offset == reference.offset and type(model.offset) is type(reference.offset)
+        text = export_model(model)
+        assert text == export_model(reference)
+        assert text.partition("\n")[0] == header
 
     @settings(max_examples=60, deadline=None)
     @given(small_instances())
@@ -756,6 +773,12 @@ def as_list(terms: dict) -> list:
     return [(key, c, type(c)) for key, c in terms.items()]
 
 
+# Changes to one line of an integer model's text that leave the fast reader
+# to the line parser: those that read the same terms, and those it refuses.
+READ_ALIKE = ("blank", "tab", "l-after-q", "repeat", "16 digits", "double space", "trailing space", "no final newline")
+REFUSED = ("letter inside", "glued letter", "arity", "inner sign", "double sign")
+
+
 class TestModelTextProperties:
     @settings(max_examples=200, deadline=None)
     @given(text_models())
@@ -777,27 +800,60 @@ class TestModelTextProperties:
             return
         pos = data.draw(st.integers(0, len(lines) - 1))
         kind, *tokens = lines[pos].split()
-        how = data.draw(st.sampled_from(["blank", "tab", "l-after-q", "repeat", "16 digits"]))
+        how = data.draw(st.sampled_from([*READ_ALIKE, *REFUSED]))
+        line = lines[pos]
         if how == "blank":
             lines.insert(pos, "")
         elif how == "tab":
-            lines[pos] = lines[pos].replace(" ", "\t", 1)
+            lines[pos] = line.replace(" ", "\t", 1)
         elif how == "l-after-q":  # the last L line, so the order of the terms holds
-            n_lin = sum(line.startswith("L") for line in lines)
+            n_lin = sum(other.startswith("L") for other in lines)
             if not 0 < n_lin < len(lines):
                 return
             lines.append(lines.pop(n_lin - 1))
         elif how == "repeat":
             coeff = int(tokens[-1])
             lines[pos : pos + 1] = [" ".join([kind, *tokens[:-1], str(part)]) for part in (coeff - 1, 1)]
-        else:
+        elif how == "16 digits":
             sign, digits = tokens[-1][:-1].rstrip("0123456789"), tokens[-1].lstrip("-")
             lines[pos] = " ".join([kind, *tokens[:-1], sign + digits.zfill(16)])
-        perturbed = "\n".join([head, *lines]) + "\n"
+        elif how == "double space":
+            at = data.draw(st.integers(1, len(tokens)))
+            parts = line.split(" ")
+            lines[pos] = " ".join(parts[:at]) + "  " + " ".join(parts[at:])
+        elif how == "trailing space":
+            lines[pos] = line + " "
+        elif how == "letter inside":
+            at = data.draw(st.integers(2, len(line)))
+            lines[pos] = line[:at] + data.draw(st.sampled_from("LQ")) + line[at:]
+        elif how == "glued letter":
+            lines[pos] = kind + line[2:]
+        elif how == "arity":  # an L line with three numbers, a Q line with two
+            lines[pos] = line + " 0" if kind == "L" else line.rpartition(" ")[0]
+        elif how == "inner sign":
+            lines[pos] = line + "-2"
+        elif how == "double sign":
+            lines[pos] = " ".join([kind, *tokens[:-1], "--" + tokens[-1].lstrip("-")])
+        perturbed = "\n".join([head, *lines]) + ("" if how == "no final newline" else "\n")
         assert _canonical_terms(perturbed.partition("\n")[2], model.num_vars) is None
+        if how in REFUSED:
+            with pytest.raises(ValueError):
+                parse_model(perturbed)
+            return
         fast, slow = parse_model(text), parse_model(perturbed)
         assert as_list(slow.linear) == as_list(fast.linear)
         assert as_list(slow.quadratic) == as_list(fast.quadratic)
+
+    @pytest.mark.parametrize(
+        "token, fast",
+        [("-999999999999999", True), ("999999999999999", True), ("1000000000000000", False), ("-0000000000000001", False)],
+    )
+    def test_digit_bound_on_both_sides(self, token, fast):
+        text = f"QUBO 3 0 1\nL 0 {token}\nQ 1 2 {token}\n"
+        assert (_canonical_terms(text.partition("\n")[2], 3) is not None) == fast
+        model = parse_model(text)
+        assert as_list(model.linear) == [(0, int(token), int)]
+        assert as_list(model.quadratic) == [((1, 2), int(token), int)]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -835,6 +891,99 @@ def frozen_energy(model: QuboModel, assignment: str):
     except KeyError:
         raise ValueError(f"quadratic index pair ({a}, {b}) outside 0..{last}") from None
     return total
+
+
+def frozen_decode(model: QuboModel, assignment: str, inst: CvrpInstance) -> RouteDecoding:
+    """``decode_routes`` as it read the set bits one flat index at a time."""
+    vmap = VariableMap(inst.dimension, inst.vehicles, inst.capacity)
+    if model.num_vars != vmap.num_vars:
+        raise ValueError(f"the model has {model.num_vars} variables, the instance's layout {vmap.num_vars}")
+    nodes, k = vmap.nodes, vmap.vehicles
+    arcs = [[] for _ in range(k)]
+    for flat in range(vmap.num_route_vars):
+        if assignment[flat] == "1":
+            var = vmap.route_var(flat)
+            arcs[var.v].append((var.i, var.j))
+    total_cost = 0
+    violations, routes = [], []
+    out_deg = [[0] * nodes for _ in range(k)]
+    in_deg = [[0] * nodes for _ in range(k)]
+    for v in range(k):
+        for i, j in arcs[v]:
+            out_deg[v][i] += 1
+            in_deg[v][j] += 1
+            total_cost += edge_weight(inst, i, j)
+    for i in range(1, nodes):
+        departures = sum(out_deg[v][i] for v in range(k))
+        if departures != 1:
+            violations.append(Violation(VISIT_COUNT, node=i, detail=f"left {departures} times, expected 1"))
+    for v in range(k):
+        if out_deg[v][0] != 1:
+            violations.append(Violation(DEPOT_DEPARTURE, vehicle=v, detail=f"{out_deg[v][0]} departures"))
+        if in_deg[v][0] != 1:
+            violations.append(Violation(DEPOT_RETURN, vehicle=v, detail=f"{in_deg[v][0]} returns"))
+        for i in range(1, nodes):
+            if out_deg[v][i] != in_deg[v][i]:
+                violations.append(
+                    Violation(FLOW_BALANCE, vehicle=v, node=i, detail=f"in {in_deg[v][i]}, out {out_deg[v][i]}")
+                )
+        load = sum(inst.demands[i] * out_deg[v][i] for i in range(1, nodes))
+        if load > inst.capacity:
+            violations.append(Violation(CAPACITY, vehicle=v, detail=f"load {load} over capacity {inst.capacity}"))
+        successors = {}
+        for i, j in arcs[v]:
+            successors.setdefault(i, []).append(j)
+        route, used, here = [0], set(), 0
+        while True:
+            nexts = successors.get(here, [])
+            if len(nexts) != 1:
+                break
+            step = (here, nexts[0])
+            if step in used:
+                break
+            used.add(step)
+            here = nexts[0]
+            route.append(here)
+            if here == 0:
+                break
+        routes.append(route)
+        loop_arcs = {(i, j) for i, j in set(arcs[v]) - used if i != 0 and j != 0}
+        while loop_arcs:
+            tails = {i for i, _ in loop_arcs}
+            heads = {j for _, j in loop_arcs}
+            peeled = {(i, j) for i, j in loop_arcs if j in tails and i in heads}
+            if peeled == loop_arcs:
+                break
+            loop_arcs = peeled
+        if loop_arcs:
+            loop_nodes = sorted({i for i, _ in loop_arcs} | {j for _, j in loop_arcs})
+            violations.append(
+                Violation(SUBTOUR, vehicle=v, detail=f"closed arcs avoiding the depot over nodes {loop_nodes}")
+            )
+    return RouteDecoding(routes=routes, violations=violations, total_cost=total_cost)
+
+
+@st.composite
+def decode_cases(draw) -> tuple[CvrpInstance, str]:
+    """An instance and an assignment: all zeros, all ones, random bits, or
+    one depot-to-depot route per vehicle over a random split of the
+    customers, with random slack."""
+    inst = draw(small_instances())
+    vmap = VariableMap(inst.dimension, inst.vehicles, inst.capacity)
+    m = vmap.num_vars
+    kind = draw(st.sampled_from(["zeros", "ones", "random", "planted"]))
+    if kind != "planted":
+        return inst, {"zeros": "0" * m, "ones": "1" * m}.get(kind) or draw(st.text("01", min_size=m, max_size=m))
+    bits = ["0"] * vmap.num_route_vars
+    customers = draw(st.permutations(range(1, inst.dimension)))
+    owners = draw(st.lists(st.integers(0, inst.vehicles - 1), min_size=len(customers), max_size=len(customers)))
+    for v in range(inst.vehicles):
+        stops = [c for c, owner in zip(customers, owners) if owner == v]
+        if stops:
+            for i, j in zip([0, *stops], [*stops, 0]):
+                bits[vmap.route_index(VarIndex(i=i, j=j, v=v))] = "1"
+    slack = m - vmap.num_route_vars
+    return inst, "".join(bits) + draw(st.text("01", min_size=slack, max_size=slack))
 
 
 def frozen_count_terms(model: QuboModel) -> tuple[int, int]:
@@ -993,6 +1142,16 @@ class TestArrayBackedModels:
         frozen = outcomes(model, assignments, frozen=True)
         assert fresh == frozen
         assert outcomes(model, assignments, frozen=False) == frozen  # once the terms have been read
+
+    @settings(max_examples=200, deadline=None)
+    @given(decode_cases())
+    def test_decode_matches_the_per_bit_code(self, case):
+        inst, assignment = case
+        model = build_qubo(inst)
+        got, want = decode_routes(model, assignment, inst), frozen_decode(model, assignment, inst)
+        assert got == want
+        assert repr(got) == repr(want)  # numpy scalars would print otherwise
+        assert type(got.total_cost) is int
 
     def test_fifteen_digit_coefficients_summing_past_int64(self):
         # 11 175 selected terms of 999999999999999 sum to ~1.1e19 > 2**63
