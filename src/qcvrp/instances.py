@@ -9,6 +9,7 @@ always at node 0.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -134,8 +135,9 @@ class CvrpInstance:
             raise InvalidInstance("vehicle count must be at least 1")
         if len(self.demands) != self.dimension:
             raise InvalidInstance("demands must list one value per node")
-        if any(q < 0 for q in self.demands):
-            raise InvalidInstance("demands must be nonnegative")
+        if min(self.demands) < 0:
+            node, q = next((i, q) for i, q in enumerate(self.demands) if q < 0)
+            raise InvalidInstance(f"demand of node {node} must be nonnegative, got {q}")
         if self.demands[0] != 0:
             raise InvalidInstance("the depot must have zero demand")
         if self.weight_kind is WeightKind.EUC_2D:
@@ -149,7 +151,15 @@ class CvrpInstance:
             ):
                 raise InvalidInstance("the weight matrix must be dimension x dimension")
             if min(map(min, self.explicit_weights)) < 0:
-                raise InvalidInstance("edge weights must be nonnegative")
+                i, j, w = next(
+                    (i, j, w)
+                    for i, row in enumerate(self.explicit_weights)
+                    for j, w in enumerate(row)
+                    if w < 0
+                )
+                raise InvalidInstance(
+                    f"edge weight of node pair ({i}, {j}) must be nonnegative, got {w}"
+                )
         elif self.explicit_weights is not None:
             raise InvalidInstance("only EXPLICIT instances carry a weight matrix")
 
@@ -231,12 +241,16 @@ def max_edge_weight(inst: CvrpInstance) -> int:
     """Largest pairwise travel cost in the instance.
 
     Equals ``int(weight_matrix(inst).max())`` but never holds the full
-    matrix: Euclidean instances take the largest squared distance over
-    blocks of at most ``_BLOCK_PAIRS`` node pairs and round it once, which
-    gives the same integer because the square root and the rounding are
-    monotone; explicit instances skip the diagonal, as the matrix does.
-    The first call keeps the result on the instance, outside its fields,
-    and later calls read it back.
+    matrix.  Euclidean instances take a lower bound from the pairs of
+    extreme points (least and greatest x, y, x+y and x-y), drop each point
+    whose farthest bounding-box corner is no farther, and take the largest
+    squared distance among the survivors over blocks of at most
+    ``_BLOCK_PAIRS`` node pairs.  The square is rounded once, which gives
+    the same integer because the square root and the rounding are
+    monotone.  Explicit instances skip the diagonal, as the matrix does:
+    the largest entry answers when no diagonal entry reaches it.  The
+    first call keeps the result on the instance, outside its fields, and
+    later calls read it back.
     """
     longest = getattr(inst, "_max_edge_weight", None)
     if longest is None:
@@ -247,13 +261,28 @@ def max_edge_weight(inst: CvrpInstance) -> int:
 
 def _scan_max_edge_weight(inst: CvrpInstance) -> int:
     if inst.weight_kind is WeightKind.EXPLICIT:
-        assert inst.explicit_weights is not None
-        return max(max(row[:i] + row[i + 1 :]) for i, row in enumerate(inst.explicit_weights))
+        rows = inst.explicit_weights
+        assert rows is not None
+        top = max(map(max, rows))
+        if all(row[i] < top for i, row in enumerate(rows)):
+            return top  # held off the diagonal
+        return max(max(row[:i] + row[i + 1 :]) for i, row in enumerate(rows))
     import numpy as np
     assert inst.coords is not None
     x, y = np.asarray(inst.coords, dtype=np.float64).T
+    # A lower bound from the pairs of extreme points ...
+    ends = np.array([f(v) for v in (x, y, x + y, x - y) for f in (np.argmin, np.argmax)])
+    dx = x[ends, None] - x[None, ends]
+    dy = y[ends, None] - y[None, ends]
+    best = float((dx * dx + dy * dy).max())
+    # ... rules out every point whose farthest bounding-box corner is no
+    # farther: float subtraction, squaring and addition are monotone, so
+    # that corner's figure bounds each pair figure the scan computes for it.
+    fx = np.maximum(x - x.min(), x.max() - x)
+    fy = np.maximum(y - y.min(), y.max() - y)
+    keep = fx * fx + fy * fy > best
+    x, y = x[keep], y[keep]
     n = len(x)
-    best = 0.0
     start = 0
     while start < n:
         # Distances are symmetric, so each row block meets columns from its
@@ -306,6 +335,35 @@ def _place_rows(rows: list[tuple[int, object, int]], dimension: int, what: str) 
     return slots  # full: as many rows as nodes, each node placed once
 
 
+# Under this character set JSON reads exactly the tokens -?(0|[1-9][0-9]*),
+# each to the value int() gives it; every other token fails json.loads.
+_JSON_INTS = re.compile(r"[0-9 -]+").fullmatch
+
+
+def _decode_weight_block(block: list[tuple[str, int]]) -> list[int]:
+    """Edge weights of consecutive stripped ``(line, lineno)`` data lines.
+
+    One ``json.loads`` reads the whole block when its text allows it.  Any
+    other block is read line by line by ``int()``, and a token that
+    ``int()`` refuses raises :class:`MalformedLine` naming it and its line.
+    """
+    joined = " ".join([line for line, _ in block])
+    if _JSON_INTS(joined):
+        try:
+            return json.loads("[" + joined.replace(" ", ",") + "]")
+        except ValueError:
+            pass
+    weights: list[int] = []
+    for line, lineno in block:
+        tokens = line.split()
+        try:
+            weights.extend(map(int, tokens))
+        except ValueError:
+            for tok in tokens:
+                _parse_int(tok, lineno, "edge weight")  # raises, naming the token
+    return weights
+
+
 def parse_instance(text: str) -> CvrpInstance:
     """Parse instance text in the TSPLIB dialect.
 
@@ -314,12 +372,15 @@ def parse_instance(text: str) -> CvrpInstance:
     match the weight type.  DEPOT_SECTION and VEHICLES are optional; when the
     file names no fleet size it is inferred from the instance name or the
     demand total.  Nodes come out 0-based with the depot moved to node 0.
+    The rows of an EDGE_WEIGHT_SECTION are decoded as one block, and an
+    error still names the line it is on.
     """
     headers: dict[str, tuple[str, int]] = {}
     coord_rows: list[tuple[int, tuple[float, float], int]] = []
     demand_rows: list[tuple[int, int, int]] = []
     depot_entries: list[tuple[int, int]] = []
     weight_tokens: list[int] = []
+    weight_block: list[tuple[str, int]] = []
     section: str | None = None
     weight_section_line = 0
 
@@ -330,6 +391,10 @@ def parse_instance(text: str) -> CvrpInstance:
         # EOF, section names, keywords and unknown sections all start with
         # an upper-case letter; numeric data lines never do.
         if "A" <= line[0] <= "Z":
+            if weight_block:
+                # decoded before this line can raise or end the section
+                weight_tokens += _decode_weight_block(weight_block)
+                weight_block = []
             word = line.rstrip(":").strip()
             if word == "EOF":
                 break
@@ -345,6 +410,9 @@ def parse_instance(text: str) -> CvrpInstance:
                 continue
             if re.fullmatch(r"[A-Z][A-Z0-9_]*", word):
                 raise MalformedLine(lineno, f"unknown section {word!r}")
+        if section == "EDGE_WEIGHT_SECTION":
+            weight_block.append((line, lineno))
+            continue
         tokens = line.split()
         if section == "NODE_COORD_SECTION":
             if len(tokens) != 3:
@@ -377,14 +445,10 @@ def parse_instance(text: str) -> CvrpInstance:
                 section = None
             else:
                 depot_entries.append((value, lineno))
-        elif section == "EDGE_WEIGHT_SECTION":
-            try:
-                weight_tokens.extend(map(int, tokens))
-            except ValueError:
-                for tok in tokens:
-                    _parse_int(tok, lineno, "edge weight")  # raises, naming the token
         else:
             raise MalformedLine(lineno, "data line outside any section")
+    if weight_block:
+        weight_tokens += _decode_weight_block(weight_block)
 
     for required in ("NAME", "DIMENSION", "CAPACITY", "EDGE_WEIGHT_TYPE"):
         if required not in headers:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -134,6 +135,16 @@ POINTS = st.one_of(
 )
 
 
+# Coordinates within a factor two of the 2**61 bound, of either sign.
+NEAR_LIMIT = st.tuples(st.floats(2.0**60, 2.0**61), st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+# Point lists for the longest edge: mixed points, repeats of a few points,
+# and points near the coordinate bound.
+POINT_LISTS = st.one_of(
+    st.lists(POINTS, min_size=2, max_size=30),
+    st.lists(st.sampled_from([(0.0, 0.0), (1.0, 1.0), (3.0, 0.5), (-2.5, 0.0)]), min_size=2, max_size=20),
+    st.lists(st.tuples(NEAR_LIMIT, NEAR_LIMIT), min_size=2, max_size=12),
+)
+
 # Small weights often put the row maximum on the diagonal.
 SMALL_MATRICES = st.integers(2, 10).flatmap(
     lambda n: st.lists(st.lists(st.integers(0, 20), min_size=n, max_size=n), min_size=n, max_size=n)
@@ -165,8 +176,8 @@ def explicit(rows, name="m", capacity=1, vehicles=1, demands=None) -> CvrpInstan
 
 
 class TestLongestEdge:
-    @settings(max_examples=300, deadline=None)
-    @given(points=st.lists(POINTS, min_size=2, max_size=30), block=st.integers(1, 40))
+    @settings(max_examples=600, deadline=None)
+    @given(points=POINT_LISTS, block=st.integers(1, 40))
     def test_euclidean_matches_the_matrix(self, points, block):
         # a small block bound splits the rows into several blocks and a
         # short last one
@@ -180,6 +191,37 @@ class TestLongestEdge:
     def test_explicit_matches_the_matrix_whatever_the_diagonal(self, rows):
         inst = explicit(rows)
         assert max_edge_weight(inst) == int(weight_matrix(inst).max())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        radius=st.floats(1.0, 1e9),
+        angles=st.lists(st.floats(0.0, 2 * math.pi), min_size=2, max_size=60),
+        block=st.integers(1, 40),
+    )
+    def test_points_on_a_circle_all_survive_the_bound(self, radius, angles, block):
+        # every farthest bounding-box corner lies beyond the diameter, so
+        # nothing is pruned and the small block bound splits the scan
+        inst = euclidean([(radius * math.cos(a), radius * math.sin(a)) for a in angles])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(instances, "_BLOCK_PAIRS", block)
+            assert max_edge_weight(inst) == int(weight_matrix(inst).max())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_uniform_cloud_matches_the_matrix(self, seed):
+        rng = random.Random(seed)
+        inst = euclidean([(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(800)])
+        assert max_edge_weight(inst) == int(weight_matrix(inst).max())
+
+    @pytest.mark.parametrize("point", [(0.0, 0.0), (-7.5, 2.0), (2.0**61, -(2.0**61))])
+    def test_all_equal_points_have_no_length(self, point):
+        assert max_edge_weight(euclidean([point] * 50)) == 0
+
+    @pytest.mark.parametrize("diagonal", [0, 9, 10, 11, 50])
+    def test_explicit_diagonal_at_or_above_the_largest_weight(self, diagonal):
+        # off the diagonal the largest weight is 10
+        rows = [[diagonal if i == j else (i * 3 + j) % 11 for j in range(4)] for i in range(4)]
+        rows[2][1] = 10
+        assert max_edge_weight(explicit(rows)) == 10 == int(weight_matrix(explicit(rows)).max())
 
     def test_euclidean_never_holds_the_matrix(self):
         rng = random.Random(3000)
@@ -416,10 +458,13 @@ class TestParseErrors:
             ("7 0 4", "7 x y", 9, "edge weight must be an integer, got 'x'"),
             ("7 0 4", "X1 0 4", 9, "edge weight must be an integer, got 'X1'"),
             ("7 0 4", "7 0 4\nWEIRD_SECTION", 10, "unknown section 'WEIRD_SECTION'"),
+            ("7 0 4", "7 x 4\nWEIRD_SECTION", 9, "edge weight must be an integer, got 'x'"),
+            ("7 0 4", "7 x 4\nVEHICLES : 1\n2 4 0", 9, "edge weight must be an integer, got 'x'"),
             ("NAME : tiny-matrix", "name : tiny-matrix", 1, "data line outside any section"),
             ("3 4\nEOF", "3 4\neof", 15, "demand rows are 'index demand'"),
         ],
-        ids=["bad-weight-token", "upper-case-data", "unknown-section", "lower-keyword", "lower-eof"],
+        ids=["bad-weight-token", "upper-case-data", "unknown-section", "bad-weight-then-section",
+             "bad-weight-then-keyword", "lower-keyword", "lower-eof"],
     )
     def test_error_names_the_line(self, old, new, line, message):
         with pytest.raises(MalformedLine, match=message) as err:
@@ -441,7 +486,7 @@ class TestInstanceValidation:
             )
 
     def test_negative_demand_rejected(self):
-        with pytest.raises(InvalidInstance, match="nonnegative"):
+        with pytest.raises(InvalidInstance, match="^demand of node 1 must be nonnegative, got -1$"):
             CvrpInstance(
                 name="x",
                 dimension=2,
@@ -500,7 +545,8 @@ class TestInstanceValidation:
             ("EUC_2D", {"demands": (0, 1)}, "demands must list one value per node"),
             ("EUC_2D", {"coords": None}, "EUC_2D instances need one coordinate pair per node"),
             ("EXPLICIT", {"explicit_weights": None}, "EXPLICIT instances need a full weight matrix"),
-            ("EXPLICIT", {"explicit_weights": ((0, 1, 2), (1, 0, -3), (2, 3, 0))}, "edge weights must be nonnegative"),
+            ("EXPLICIT", {"explicit_weights": ((0, 1, 2), (1, 0, -3), (2, 3, 0))},
+             "edge weight of node pair (1, 2) must be nonnegative, got -3"),
             ("EUC_2D", {"explicit_weights": ((0, 3, 4), (3, 0, 5), (4, 5, 0))},
              "only EXPLICIT instances carry a weight matrix"),
         ],
@@ -764,3 +810,102 @@ def test_mutated_text_parses_or_raises_cvrp_or_value_error(text):
     except (CvrpError, ValueError):
         return
     assert parse_instance(serialize_instance(inst)) == inst
+
+
+def reference_weights(lines: list[str], first_line: int) -> list[int]:
+    """Edge weights of EDGE_WEIGHT_SECTION data lines starting at line
+    ``first_line``, read one token at a time by ``int()``; what the parser
+    refuses in such lines raises the error it raises."""
+    weights = []
+    ended = False
+    for lineno, raw in enumerate(lines, start=first_line):
+        line = raw.strip()
+        if not line:
+            continue
+        if line == "VEHICLES : 1":  # a keyword line ends the section
+            ended = True
+            continue
+        if "A" <= line[0] <= "Z" and re.fullmatch(r"[A-Z][A-Z0-9_]*", line):
+            raise MalformedLine(lineno, f"unknown section {line!r}")
+        if ended:
+            raise MalformedLine(lineno, "data line outside any section")
+        for token in line.split():
+            try:
+                weights.append(int(token))
+            except ValueError:
+                raise MalformedLine(lineno, f"edge weight must be an integer, got {token!r}") from None
+    return weights
+
+
+MATRIX_HEAD = [
+    "NAME : block",
+    "TYPE : CVRP",
+    "CAPACITY : 10",
+    "VEHICLES : 1",
+    "EDGE_WEIGHT_TYPE : EXPLICIT",
+    "EDGE_WEIGHT_FORMAT : FULL_MATRIX",
+]
+# Tokens int() reads and JSON does not, or reads differently, and tokens
+# neither reads.
+BLOCK_TOKENS = st.sampled_from(
+    ["1,2", "007", "+4", "1_0", "٣", "-", "--1", "-0", "1.5", "1e3", "true", "[1", "]", "9" * 25,
+     "9" * 5000, "1-2", "0", "12"]
+)
+
+
+@st.composite
+def mutated_matrix_section(draw) -> tuple[int, list[str]]:
+    """A FULL_MATRIX section's size and lines, with a few tokens or lines changed."""
+    n = draw(st.integers(2, 5))
+    row = st.lists(st.integers(0, 10**20), min_size=n, max_size=n)
+    lines = [" ".join(map(str, r)) for r in draw(st.lists(row, min_size=n, max_size=n))]
+    for _ in range(draw(st.integers(0, 5))):
+        pos = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[pos].split(" ")
+        at = draw(st.integers(0, len(tokens) - 1))
+        how = draw(st.sampled_from(["token", "insert", "spaces", "tab", "upper"]))
+        if how == "token":
+            tokens[at] = draw(BLOCK_TOKENS)
+        elif how == "insert":
+            tokens.insert(at, draw(BLOCK_TOKENS))
+        elif how == "spaces":
+            tokens[at] += "  "
+        elif how == "tab":
+            tokens[at] += "\t"
+        else:
+            tokens = [t.upper() for t in tokens]
+        lines[pos] = " ".join(tokens)
+    # whole lines go in last, so no mutation above changes them
+    extra = st.sampled_from(["", "   ", "WEIRD_SECTION", "VEHICLES : 1"])
+    for _ in range(draw(st.integers(0, 2))):
+        pos = draw(st.integers(0, len(lines)))
+        lines.insert(pos, draw(st.one_of(extra, BLOCK_TOKENS.map(str.upper))))
+    return n, lines
+
+
+def outcome(read):
+    try:
+        return read()
+    except CvrpError as err:
+        return type(err), str(err), getattr(err, "line_number", None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_matrix_section())
+def test_weight_block_reads_as_the_per_token_reference(section):
+    # the block decoder reads valid sections in one step and must give
+    # the same instance, or the same error on the same line, as one int()
+    # per token
+    n, lines = section
+    head = [*MATRIX_HEAD, f"DIMENSION : {n}", "EDGE_WEIGHT_SECTION"]
+    tail = ["DEMAND_SECTION", *(f"{i} {min(i - 1, 1)}" for i in range(1, n + 1)), "EOF"]
+    text = "\n".join(head + lines + tail) + "\n"
+
+    def reference() -> CvrpInstance:
+        weights = reference_weights(lines, len(head) + 1)
+        if len(weights) != n * n:
+            raise DimensionMismatch(f"expected {n * n} edge weights, found {len(weights)}")
+        rows = [weights[r * n : (r + 1) * n] for r in range(n)]
+        return explicit(rows, name="block", capacity=10, demands=[min(i, 1) for i in range(n)])
+
+    assert outcome(lambda: parse_instance(text)) == outcome(reference)
