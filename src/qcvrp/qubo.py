@@ -46,21 +46,12 @@ SUBTOUR = "subtour"
 
 
 @dataclass(frozen=True)
-class VarIndex:
-    """Structured name of one route variable: vehicle ``v`` drives ``i -> j``."""
-
-    i: int
-    j: int
-    v: int
-
-
-@dataclass(frozen=True)
 class VariableMap:
-    """Bijection between structured variables and flat bit positions.
+    """The flat bit layout of an instance's model.
 
     Route variables come first, ordered by vehicle, then tail node, then
-    head node, skipping self-loops; the slack registers follow, one block
-    per vehicle.
+    head node, skipping self-loops; :attr:`arcs` states that numbering.
+    The slack registers follow, one block per vehicle.
     """
 
     nodes: int
@@ -75,30 +66,16 @@ class VariableMap:
     def num_vars(self) -> int:
         return self.num_route_vars + self.vehicles * self.capacity
 
-    def route_index(self, var: VarIndex) -> int:
-        n = self.nodes
-        if not (0 <= var.v < self.vehicles and 0 <= var.i < n and 0 <= var.j < n):
-            raise IndexError(f"{var} outside the model")
-        if var.i == var.j:
-            raise IndexError("self-loops have no variable")
-        j_rank = var.j if var.j < var.i else var.j - 1
-        return (var.v * n + var.i) * (n - 1) + j_rank
-
-    def route_var(self, flat: int) -> VarIndex:
-        if not (0 <= flat < self.num_route_vars):
-            raise IndexError(f"flat index {flat} is not a route variable")
-        v, rest = divmod(flat, self.nodes * (self.nodes - 1))
-        i, j_rank = divmod(rest, self.nodes - 1)
-        j = j_rank if j_rank < i else j_rank + 1
-        return VarIndex(i=i, j=j, v=v)
-
-    def describe(self, flat: int) -> str:
-        if flat < self.num_route_vars:
-            var = self.route_var(flat)
-            return f"x[v{var.v}, {var.i}->{var.j}]"
-        rest = flat - self.num_route_vars
-        v, bit = divmod(rest, self.capacity)
-        return f"slack[v{v}, {bit}]"
+    @property
+    def arcs(self) -> np.ndarray:
+        """A fresh ``(vehicles, nodes, nodes)`` int64 array: ``arcs[v, i, j]``
+        is the flat index of ``x[v, i -> j]``, and the diagonal is -1."""
+        import numpy as np
+        k, n = self.vehicles, self.nodes
+        arc = np.full((k, n, n), -1, dtype=np.int64)
+        # the boolean mask walks (i, j) row by row, skipping the diagonal
+        arc[:, ~np.eye(n, dtype=bool)] = np.arange(self.num_route_vars).reshape(k, -1)
+        return arc
 
 
 Number = Union[int, float]
@@ -264,10 +241,7 @@ def build_qubo(inst: CvrpInstance, penalty: Number | str = AUTO) -> QuboModel:
     m = vmap.num_vars
     weights = weight_matrix(inst)
     off_diag = ~np.eye(nodes, dtype=bool)
-    # arc[v, i, j] is the flat index of x[v, i -> j]; the boolean mask walks
-    # (i, j) row by row, which is VariableMap order.
-    arc = np.full((k, nodes, nodes), -1, dtype=np.int64)
-    arc[:, off_diag] = np.arange(vmap.num_route_vars).reshape(k, -1)
+    arc = vmap.arcs
     # Coefficients stay in int64 while no integer sum can reach 2**63, and
     # become Python ints otherwise.  An entry sums at most one objective
     # weight, one term of each square below and one pair rule; a float
@@ -618,13 +592,15 @@ class RouteDecoding:
 def decode_routes(model: QuboModel, assignment: str, inst: CvrpInstance) -> RouteDecoding:
     """Turn an assignment into one route per vehicle.
 
-    Each route is the walk that starts at the depot and follows set arcs.
-    Violations name the broken rule and where it broke: customers left a
-    number of times other than once, missing depot departures or returns,
-    per-vehicle in/out imbalances, capacity excess, and set arcs forming
-    loops that avoid the depot.  The cost sums every set arc, whether or
-    not it made it into a walk.  A model of another size than the
-    instance's :class:`VariableMap` raises ``ValueError``.
+    The set route bits are read through :attr:`VariableMap.arcs` as one
+    boolean array ``chosen[v, i, j]``, whose row and column sums are the
+    out- and in-degrees.  Each route is the walk that starts at the depot
+    and follows set arcs.  Violations name the broken rule and where it
+    broke: customers left a number of times other than once, missing depot
+    departures or returns, per-vehicle in/out imbalances, capacity excess,
+    and set arcs forming loops that avoid the depot.  The cost sums every
+    set arc, whether or not it made it into a walk.  A model of another
+    size than the instance's :class:`VariableMap` raises ``ValueError``.
     """
     import numpy as np
     vmap = VariableMap(inst.dimension, inst.vehicles, inst.capacity)
@@ -633,23 +609,41 @@ def decode_routes(model: QuboModel, assignment: str, inst: CvrpInstance) -> Rout
     _check_assignment(model, assignment)
     nodes, k = vmap.nodes, vmap.vehicles
 
-    # the set route bits, as VariableMap.route_var reads them
-    flat = np.flatnonzero(np.frombuffer(assignment.encode(), dtype=np.uint8)[: vmap.num_route_vars] == ord("1"))
-    vehicle, rest = np.divmod(flat, nodes * (nodes - 1))
-    tail, j_rank = np.divmod(rest, nodes - 1)
-    head = j_rank + (j_rank >= tail)
-    arcs: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for v, i, j in zip(vehicle.tolist(), tail.tolist(), head.tolist()):
-        arcs[v].append((i, j))
-    degrees = np.zeros((2, k, nodes), dtype=np.int64)
-    np.add.at(degrees, (0, vehicle, tail), 1)
-    np.add.at(degrees, (1, vehicle, head), 1)
-    out_deg, in_deg = degrees.tolist()
+    arc = vmap.arcs
+    bits = np.frombuffer(assignment.encode(), dtype=np.uint8) == ord("1")
+    chosen = (arc >= 0) & bits[arc]
+    _, tail, head = np.nonzero(chosen)  # in flat bit order
     total_cost = sum(arc_weights(inst, tail, head))  # exact: ints of any size
+    out_deg, in_deg = chosen.sum(axis=2).tolist(), chosen.sum(axis=1).tolist()
+
+    # Each walk follows a node's one set arc out, clearing it from ``loops``;
+    # it stops at a node with no or several arcs out, at a cleared arc, or
+    # back at the depot.
+    successor = chosen.argmax(axis=2).tolist()
+    loops = chosen.copy()
+    routes: list[list[int]] = []
+    for v in range(k):
+        here, route = 0, [0]
+        while out_deg[v][here] == 1 and loops[v, here, successor[v][here]]:
+            loops[v, here, successor[v][here]] = False
+            here = successor[v][here]
+            route.append(here)
+            if here == 0:
+                break
+        routes.append(route)
+    # Arcs no walk took form a subtour only if they close a cycle that
+    # avoids the depot; dangling arcs are artifacts of degree violations.
+    # Peel arcs whose tail has no arc in or whose head has no arc out, until
+    # none is left to peel.
+    loops[:, 0, :] = loops[:, :, 0] = False
+    while True:
+        keep = loops & loops.any(axis=1)[:, :, None] & loops.any(axis=2)[:, None, :]
+        if np.array_equal(keep, loops):
+            break
+        loops = keep
+    on_loop = (loops.any(axis=1) | loops.any(axis=2)).tolist()
 
     violations: list[Violation] = []
-    routes: list[list[int]] = []
-
     for i in range(1, nodes):
         departures = sum(out_deg[v][i] for v in range(k))
         if departures != 1:
@@ -670,45 +664,10 @@ def decode_routes(model: QuboModel, assignment: str, inst: CvrpInstance) -> Rout
             violations.append(
                 Violation(CAPACITY, vehicle=v, detail=f"load {load} over capacity {inst.capacity}")
             )
-
-        successors: dict[int, list[int]] = {}
-        for i, j in arcs[v]:
-            successors.setdefault(i, []).append(j)
-        route = [0]
-        used: set[tuple[int, int]] = set()
-        here = 0
-        while True:
-            nexts = successors.get(here, [])
-            if len(nexts) != 1:
-                break
-            step = (here, nexts[0])
-            if step in used:
-                break
-            used.add(step)
-            here = nexts[0]
-            route.append(here)
-            if here == 0:
-                break
-        routes.append(route)
-        # Arcs the walk never reached form a subtour only if they close a
-        # cycle that avoids the depot; dangling arcs are artifacts of degree
-        # violations reported above.  Peel arcs that cannot lie on a cycle.
-        loop_arcs = {(i, j) for i, j in set(arcs[v]) - used if i != 0 and j != 0}
-        while loop_arcs:
-            tails = {i for i, _ in loop_arcs}
-            heads = {j for _, j in loop_arcs}
-            peeled = {(i, j) for i, j in loop_arcs if j in tails and i in heads}
-            if peeled == loop_arcs:
-                break
-            loop_arcs = peeled
-        if loop_arcs:
-            loop_nodes = sorted({i for i, _ in loop_arcs} | {j for _, j in loop_arcs})
+        loop_nodes = [i for i, on in enumerate(on_loop[v]) if on]
+        if loop_nodes:
             violations.append(
-                Violation(
-                    SUBTOUR,
-                    vehicle=v,
-                    detail=f"closed arcs avoiding the depot over nodes {loop_nodes}",
-                )
+                Violation(SUBTOUR, vehicle=v, detail=f"closed arcs avoiding the depot over nodes {loop_nodes}")
             )
 
     return RouteDecoding(routes=routes, violations=violations, total_cost=total_cost)

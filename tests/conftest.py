@@ -37,6 +37,16 @@ def triangle() -> CvrpInstance:
     return parse_instance(TRIANGLE_TEXT)
 
 
+def route_bits(nodes: int, vehicles: int) -> list[tuple[int, int, int]]:
+    """``(v, i, j)`` of each route bit ``x[v, i -> j]`` in flat order: by
+    vehicle, then tail node, then head node, skipping self-loops.
+
+    Written from that rule alone, so that tests check the layout of
+    ``VariableMap.arcs`` against it rather than against itself.
+    """
+    return [(v, i, j) for v in range(vehicles) for i in range(nodes) for j in range(nodes) if i != j]
+
+
 def vrp_text(
     name: str,
     coords: list[tuple[float, float]],

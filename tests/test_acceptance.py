@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from benchmark_data import GAP_ROWS, RESOURCE_ROWS
-from conftest import family_instance, vrp_text
+from conftest import family_instance, route_bits, vrp_text
 from qcvrp import (
     EncodingKind,
     GapDenominator,
@@ -118,9 +118,8 @@ def route_cost_vector(model, inst) -> np.ndarray:
     weights = weight_matrix(inst)
     vm = VariableMap(inst.dimension, inst.vehicles, inst.capacity)
     vec = np.zeros(vm.num_vars)
-    for flat in range(vm.num_route_vars):
-        var = vm.route_var(flat)
-        vec[flat] = weights[var.i, var.j]
+    for flat, (_, i, j) in enumerate(route_bits(inst.dimension, inst.vehicles)):
+        vec[flat] = weights[i, j]
     return vec
 
 

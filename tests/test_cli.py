@@ -381,6 +381,22 @@ class TestQuboAndSolve:
         assert f"route cost: {best_routes_cost(inst)}\n" in out
         assert out.endswith("violations: none\n")
 
+    def test_solve_prints_the_depot_avoiding_loop(self, capsys, tmp_path):
+        # The penalty model's optimum here is an out-and-back run plus a loop
+        # over the other three customers, cheaper than any valid set of routes.
+        inst = family_instance(random.Random(0), customers=4, vehicles=1, capacity=3)
+        path = tmp_path / "five.vrp"
+        path.write_text(serialize_instance(inst), encoding="utf-8")
+        expected = (
+            "assignment: 01000001100001000001001\n"
+            "energy: 42\n"
+            "route cost: 42\n"
+            "vehicle 0: 0-2-0\n"
+            "violations: 1\n"
+            "  subtour vehicle 0: closed arcs avoiding the depot over nodes [1, 3, 4]\n"
+        )
+        assert run_cli(capsys, "solve", str(path)) == (0, expected, "")
+
 
 class TestValue:
     def test_reference_fleet_numbers(self, capsys):

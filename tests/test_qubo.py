@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcvrp.qubo as qubo_module
-from conftest import family_instance
+from conftest import family_instance, route_bits
 from qcvrp import (
     QuboModel,
     AUTO,
@@ -43,7 +43,6 @@ from qcvrp.qubo import (
     SUBTOUR,
     VISIT_COUNT,
     RouteDecoding,
-    VarIndex,
     Violation,
     _canonical_terms,
     _index_codes,
@@ -68,40 +67,38 @@ def two_customer_instance(demands=(0, 2, 2), capacity=3) -> CvrpInstance:
     )
 
 
+def flat_index(nodes: int, vehicles: int) -> dict[tuple[int, int, int], int]:
+    """``(v, i, j)`` -> flat index of ``x[v, i -> j]``, from the documented order."""
+    return {var: flat for flat, var in enumerate(route_bits(nodes, vehicles))}
+
+
 class TestVariableMap:
     def test_sizes(self):
         vmap = VariableMap(nodes=3, vehicles=2, capacity=4)
         assert vmap.num_route_vars == 2 * 3 * 2
         assert vmap.num_vars == 12 + 8
-        assert [vmap.describe(s) for s in (12, 15, 16, 19)] == [
-            "slack[v0, 0]",
-            "slack[v0, 3]",
-            "slack[v1, 0]",
-            "slack[v1, 3]",
-        ]
 
-    def test_route_index_is_a_bijection(self):
-        vmap = VariableMap(nodes=4, vehicles=3, capacity=2)
-        seen = set()
-        for v in range(3):
-            for i in range(4):
-                for j in range(4):
-                    if i == j:
-                        continue
-                    flat = vmap.route_index(VarIndex(i=i, j=j, v=v))
-                    assert vmap.route_var(flat) == VarIndex(i=i, j=j, v=v)
-                    seen.add(flat)
-        assert seen == set(range(vmap.num_route_vars))
+    @pytest.mark.parametrize("nodes", range(2, 8))
+    @pytest.mark.parametrize("vehicles", [1, 2, 3])
+    def test_arcs_follow_the_documented_order(self, nodes, vehicles):
+        vmap = VariableMap(nodes, vehicles, capacity=2)
+        arcs = vmap.arcs
+        assert arcs.shape == (vehicles, nodes, nodes) and arcs.dtype == np.int64
+        for flat, (v, i, j) in enumerate(route_bits(nodes, vehicles)):
+            assert arcs[v, i, j] == flat
+        # route_bits names every off-diagonal entry, so that is a bijection
+        assert sorted(arcs[arcs >= 0].tolist()) == list(range(vmap.num_route_vars))
+        assert (arcs[:, range(nodes), range(nodes)] == -1).all()
 
     def test_self_loops_have_no_variable(self):
         vmap = VariableMap(nodes=3, vehicles=1, capacity=1)
-        with pytest.raises(IndexError):
-            vmap.route_index(VarIndex(i=1, j=1, v=0))
+        assert vmap.arcs[0, 1, 1] == -1
+        assert np.count_nonzero(vmap.arcs == -1) == 3
 
-    def test_describe(self):
-        vmap = VariableMap(nodes=3, vehicles=1, capacity=2)
-        assert vmap.describe(0) == "x[v0, 0->1]"
-        assert vmap.describe(6) == "slack[v0, 0]"
+    def test_arcs_is_a_fresh_array(self):
+        vmap = VariableMap(nodes=3, vehicles=1, capacity=1)
+        vmap.arcs[0, 0, 1] = 99
+        assert vmap.arcs[0, 0, 1] == 0
 
 
 class TestBuildQubo:
@@ -136,9 +133,9 @@ class TestBuildQubo:
     def test_objective_coefficients_on_depot_arcs(self, triangle):
         # depot arcs gain no net penalty: their linear terms are pure distance
         model = build_qubo(triangle)
-        vmap = VariableMap(triangle.dimension, triangle.vehicles, triangle.capacity)
-        assert model.linear[vmap.route_index(VarIndex(i=0, j=1, v=0))] == 3
-        assert model.linear[vmap.route_index(VarIndex(i=0, j=2, v=0))] == 4
+        flat = flat_index(triangle.dimension, triangle.vehicles)
+        assert model.linear[flat[0, 0, 1]] == 3
+        assert model.linear[flat[0, 0, 2]] == 4
 
     def test_explicit_penalty_matches_auto_here(self, triangle):
         auto = build_qubo(triangle, AUTO)
@@ -210,8 +207,10 @@ def closure_build(inst: CvrpInstance, penalty=AUTO, forbid_two_cycles: bool = Tr
             for b, cb in terms[pos + 1 :]:
                 add_quadratic(a, b, 2 * scale * ca * cb)
 
+    flat = flat_index(nodes, k)
+
     def arc(v, i, j):
-        return vmap.route_index(VarIndex(i=i, j=j, v=v))
+        return flat[v, i, j]
 
     for v in range(k):
         for i in range(nodes):
@@ -278,9 +277,9 @@ class TestBuilderEquivalence:
         assert export_model(model) == export_model(reference)
         # the two-cycle rule only touches the pairs x[v, i -> j] * x[v, j -> i]
         relaxed = closure_build(inst, penalty, forbid_two_cycles=False)
-        vmap = VariableMap(inst.dimension, inst.vehicles, inst.capacity)
+        flat = flat_index(inst.dimension, inst.vehicles)
         pairs = {
-            (vmap.route_index(VarIndex(i, j, v)), vmap.route_index(VarIndex(j, i, v)))
+            (flat[v, i, j], flat[v, j, i])
             for v in range(inst.vehicles)
             for i, j in itertools.combinations(range(1, inst.dimension), 2)
         }
@@ -641,10 +640,10 @@ class TestDecodeRoutes:
 
     def test_flow_imbalance_and_visit_count(self, triangle):
         model = build_qubo(triangle)
-        vmap = VariableMap(triangle.dimension, triangle.vehicles, triangle.capacity)
+        flat = flat_index(triangle.dimension, triangle.vehicles)
         bits = ["0"] * 8
-        bits[vmap.route_index(VarIndex(i=0, j=1, v=0))] = "1"
-        bits[vmap.route_index(VarIndex(i=2, j=0, v=0))] = "1"
+        bits[flat[0, 0, 1]] = "1"
+        bits[flat[0, 2, 0]] = "1"
         decoding = decode_routes(model, "".join(bits), triangle)
         kinds = {v.kind for v in decoding.violations}
         assert kinds == {VISIT_COUNT, FLOW_BALANCE}
@@ -669,10 +668,10 @@ class TestDecodeRoutes:
 
     def test_double_depot_run(self, triangle):
         model = build_qubo(triangle)
-        vmap = VariableMap(triangle.dimension, triangle.vehicles, triangle.capacity)
+        flat = flat_index(triangle.dimension, triangle.vehicles)
         bits = ["0"] * 8
         for i, j in ((0, 1), (1, 0), (0, 2), (2, 0)):
-            bits[vmap.route_index(VarIndex(i=i, j=j, v=0))] = "1"
+            bits[flat[0, i, j]] = "1"
         decoding = decode_routes(model, "".join(bits), triangle)
         kinds = sorted(v.kind for v in decoding.violations)
         assert kinds == [DEPOT_DEPARTURE, DEPOT_RETURN]
@@ -900,10 +899,9 @@ def frozen_decode(model: QuboModel, assignment: str, inst: CvrpInstance) -> Rout
         raise ValueError(f"the model has {model.num_vars} variables, the instance's layout {vmap.num_vars}")
     nodes, k = vmap.nodes, vmap.vehicles
     arcs = [[] for _ in range(k)]
-    for flat in range(vmap.num_route_vars):
+    for flat, (v, i, j) in enumerate(route_bits(nodes, k)):
         if assignment[flat] == "1":
-            var = vmap.route_var(flat)
-            arcs[var.v].append((var.i, var.j))
+            arcs[v].append((i, j))
     total_cost = 0
     violations, routes = [], []
     out_deg = [[0] * nodes for _ in range(k)]
@@ -967,21 +965,34 @@ def frozen_decode(model: QuboModel, assignment: str, inst: CvrpInstance) -> Rout
 def decode_cases(draw) -> tuple[CvrpInstance, str]:
     """An instance and an assignment: all zeros, all ones, random bits, or
     one depot-to-depot route per vehicle over a random split of the
-    customers, with random slack."""
+    customers, with random slack.  The "loop" kind leaves two or more
+    customers out of the routes and sets a depot-avoiding cycle over them
+    on one vehicle, sometimes with one more set route bit anywhere."""
     inst = draw(small_instances())
-    vmap = VariableMap(inst.dimension, inst.vehicles, inst.capacity)
+    nodes, k = inst.dimension, inst.vehicles
+    vmap = VariableMap(nodes, k, inst.capacity)
     m = vmap.num_vars
-    kind = draw(st.sampled_from(["zeros", "ones", "random", "planted"]))
-    if kind != "planted":
+    kind = draw(st.sampled_from(["zeros", "ones", "random", "planted", "loop"]))
+    if kind not in ("planted", "loop"):
         return inst, {"zeros": "0" * m, "ones": "1" * m}.get(kind) or draw(st.text("01", min_size=m, max_size=m))
+    flat = flat_index(nodes, k)
     bits = ["0"] * vmap.num_route_vars
-    customers = draw(st.permutations(range(1, inst.dimension)))
-    owners = draw(st.lists(st.integers(0, inst.vehicles - 1), min_size=len(customers), max_size=len(customers)))
-    for v in range(inst.vehicles):
+    customers = draw(st.permutations(range(1, nodes)))
+    cycle = []
+    if kind == "loop" and len(customers) >= 2:
+        size = draw(st.integers(2, len(customers)))
+        cycle, customers = customers[:size], customers[size:]
+        v = draw(st.integers(0, k - 1))
+        for i, j in zip(cycle, [*cycle[1:], cycle[0]]):
+            bits[flat[v, i, j]] = "1"
+    owners = draw(st.lists(st.integers(0, k - 1), min_size=len(customers), max_size=len(customers)))
+    for v in range(k):
         stops = [c for c, owner in zip(customers, owners) if owner == v]
         if stops:
             for i, j in zip([0, *stops], [*stops, 0]):
-                bits[vmap.route_index(VarIndex(i=i, j=j, v=v))] = "1"
+                bits[flat[v, i, j]] = "1"
+    if cycle and draw(st.booleans()):
+        bits[draw(st.integers(0, vmap.num_route_vars - 1))] = "1"
     slack = m - vmap.num_route_vars
     return inst, "".join(bits) + draw(st.text("01", min_size=slack, max_size=slack))
 
