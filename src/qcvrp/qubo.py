@@ -325,15 +325,22 @@ def _accumulate(keys: list[np.ndarray], values: list[np.ndarray]) -> tuple[np.nd
 
 def _index_codes(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
     """A table of index values and each column's positions in it, so that
-    :func:`export_model` formats every index once.  The table is ``0..max``
-    and the columns are their own positions, unless the indices are sparser
-    than the terms: then it holds only the indices that occur."""
+    :func:`export_model` formats every index once: ``0..max``, or only the
+    indices that occur when they are sparser than the terms."""
     import numpy as np
     size = max(int(c.max(initial=-1)) for c in columns) + 1
     if size <= sum(map(len, columns)):
         return np.arange(size), list(columns)
-    table, codes = np.unique(np.concatenate(columns), return_inverse=True)
+    table, codes = _distinct(np.concatenate(columns))
     return table, np.split(codes, np.cumsum([len(c) for c in columns[:-1]]))
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values, ascending, and each value's position among them."""
+    import numpy as np
+    ordered = np.sort(values)
+    distinct = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
+    return distinct, np.searchsorted(distinct, values)
 
 
 def _kind_arrays(terms: Mapping, width: int) -> tuple[np.ndarray, ...]:
@@ -364,14 +371,14 @@ def _index_key(key, width: int) -> tuple[int, ...]:
 
 
 def _coefficients(values: Collection) -> np.ndarray:
-    # int64 when every value is an int that fits, else the values themselves
+    # int64 if every value is an int that fits, float64 if every one is a float, else the values
     import numpy as np
+    types = set(map(type, values))
+    dtype = np.float64 if types == {float} else np.int64 if types <= {int} else object
     try:
-        if set(map(type, values)) <= {int}:
-            return np.fromiter(values, np.int64, len(values))
-    except OverflowError:
-        pass
-    return np.fromiter(values, object, len(values))
+        return np.fromiter(values, dtype, len(values))
+    except OverflowError:  # an int past int64
+        return np.fromiter(values, object, len(values))
 
 
 def _finite(value: object) -> bool:
@@ -685,8 +692,8 @@ def export_model(model: QuboModel) -> str:
     Header ``QUBO <num_vars> <offset> <penalty>``, then one ``L <index>
     <coeff>`` line per nonzero linear term and one ``Q <i> <j> <coeff>``
     line per nonzero quadratic term, in index order.  Each distinct index
-    and each distinct int64 or float64 coefficient is formatted once, and
-    the lines are laid out as one byte grid per term kind.
+    and int64 or float64 coefficient is formatted once, with its separator,
+    and each line is one record whose NUL padding ``bytes.translate`` drops.
     """
     import numpy as np
     (lin_idx, lin_val), (q_a, q_b, q_val) = model.linear._arrays, model.quadratic._arrays
@@ -698,40 +705,31 @@ def export_model(model: QuboModel) -> str:
     if not ((step_a > 0) | (step_a == 0) & (step_b > 0)).all():
         pairs = pairs[np.lexsort((q_b[pairs], q_a[pairs]))]
     table, (lin_codes, a_codes, b_codes) = _index_codes((lin_idx[lin], q_a[pairs], q_b[pairs]))
-    names = _texts(table)[0]
-    head = f"QUBO {model.num_vars} {_format_number(model.offset)} {_format_number(model.penalty)}\n"
-    body = [
-        _lines(b"L ", [(names, lin_codes), _texts(lin_val[lin])]),
-        _lines(b"Q ", [(names, a_codes), (names, b_codes), _texts(q_val[pairs])]),
-    ]
-    return head + b"".join(body).decode()
+    names = _texts(table, b" ")[0]
+    head = f"QUBO {model.num_vars} {_format_number(model.offset)} {_format_number(model.penalty)}\n".encode()
+    lin_lines = _lines(b"L ", [(names, lin_codes), _texts(lin_val[lin], b"\n")])
+    quad_lines = _lines(b"Q ", [(names, a_codes), (names, b_codes), _texts(q_val[pairs], b"\n")])
+    return b"".join([head, lin_lines, quad_lines]).decode()
 
 
-def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_format_number`` text of each distinct value as a NUL-padded byte
-    string, and each value's position among them.  Object arrays (wide ints,
-    mixed or bool values) are formatted value by value."""
+def _texts(values: np.ndarray, end: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_format_number`` text of each distinct value followed by ``end``,
+    as NUL-padded byte strings, and each value's position among them.  Object
+    arrays (wide ints, mixed or bool values) are formatted value by value."""
     import numpy as np
-    if values.dtype == object:
-        distinct, codes = values, np.arange(len(values))
-    else:
-        distinct, codes = np.unique(values, return_inverse=True)
-    return np.array([_format_number(v).encode() for v in distinct.tolist()], dtype=bytes), codes
+    distinct, codes = (values, np.arange(len(values))) if values.dtype == object else _distinct(values)
+    return np.array([_format_number(v).encode() + end for v in distinct.tolist()], dtype=bytes), codes
 
 
 def _lines(head: bytes, columns: list[tuple[np.ndarray, np.ndarray]]) -> bytes:
-    """One line per row: ``head``, then each column's text, space-separated,
-    ended by a newline.  The rows are laid out NUL-padded to each column's
-    widest text, and the padding is dropped."""
+    """One line per row: ``head``, then each column's text at the row's code,
+    as records NUL-padded to each column's widest text (rows x record bytes)."""
     import numpy as np
-    rows = len(columns[0][1])
-    grid = []
-    for sep, (texts, codes) in zip([head] + [b" "] * (len(columns) - 1), columns):
-        grid.append(np.broadcast_to(np.frombuffer(sep, dtype=np.uint8), (rows, len(sep))))
-        grid.append(texts[codes].view(np.uint8).reshape(rows, texts.itemsize))
-    grid.append(np.full((rows, 1), ord("\n"), dtype=np.uint8))
-    flat = np.concatenate(grid, axis=1).ravel()
-    return flat[flat != 0].tobytes()
+    record = np.empty(len(columns[0][1]), dtype=",".join([f"S{len(head)}"] + [t.dtype.str for t, _ in columns]))
+    record["f0"] = head
+    for field, (texts, codes) in enumerate(columns, start=1):
+        record[f"f{field}"] = texts[codes]
+    return record.tobytes().translate(None, b"\0")
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -759,7 +757,7 @@ def _parse_number(token: str, lineno: int) -> Number:
 # inside int64; ``np.fromstring`` saturates out-of-range ones without a word.
 _FAST_DIGITS = 15
 _HEADS_TO_SPACES = bytes.maketrans(b"LQ", b"  ")
-_LAYOUT_BYTES = b"0123456789 -\nLQ"
+_FOREIGN_BYTES = bytes(set(range(256)).difference(b"0123456789 -\nLQ"))  # none in an integer model
 
 
 def _canonical_terms(body: str, num_vars: int) -> tuple[np.ndarray, ...] | None:
@@ -769,7 +767,8 @@ def _canonical_terms(body: str, num_vars: int) -> tuple[np.ndarray, ...] | None:
 
     That layout is ``L`` lines, then ``Q`` lines, each a letter and two or
     three integers of at most ``_FAST_DIGITS`` digits, joined by single
-    spaces and ended by ``\\n``, with keys strictly ascending.
+    spaces and ended by ``\\n``, with keys strictly ascending.  One translate
+    spaces the letters for ``np.fromstring`` and drops foreign bytes.
     """
     import numpy as np
     if not body:
@@ -777,7 +776,8 @@ def _canonical_terms(body: str, num_vars: int) -> tuple[np.ndarray, ...] | None:
     if not body.isascii() or not body.endswith("\n"):
         return None
     raw = body.encode()
-    if raw.translate(None, _LAYOUT_BYTES):  # a byte no integer model writes
+    spaced = raw.translate(_HEADS_TO_SPACES, _FOREIGN_BYTES)
+    if len(spaced) != len(raw):
         return None
     buf = np.frombuffer(raw, dtype=np.uint8)
     seps = np.flatnonzero(buf <= ord(" "))  # spaces and newlines
@@ -806,7 +806,7 @@ def _canonical_terms(body: str, num_vars: int) -> tuple[np.ndarray, ...] | None:
         )
     ):
         return None
-    values = np.fromstring(raw.translate(_HEADS_TO_SPACES), dtype=np.int64, sep=" ")
+    values = np.fromstring(spaced, dtype=np.int64, sep=" ")
     if len(values) != len(seps) - len(ends):  # one more per letter that no space follows
         return None
     lin = values[: 2 * n_lin].reshape(-1, 2)

@@ -676,6 +676,27 @@ class TestDecodeRoutes:
         kinds = sorted(v.kind for v in decoding.violations)
         assert kinds == [DEPOT_DEPARTURE, DEPOT_RETURN]
 
+    def test_subtour_peel_keeps_only_the_loop(self):
+        # route 0-1-0, a loop 2 -> 3 -> 4 -> 2, a chain 6 -> 5 -> 2 into the
+        # loop and a chain 3 -> 7 -> 8 out of it, all on one vehicle
+        inst = CvrpInstance(
+            name="peel",
+            dimension=9,
+            capacity=8,
+            vehicles=1,
+            demands=(0,) + (1,) * 8,
+            weight_kind=WeightKind.EUC_2D,
+            coords=tuple((float(i), float(i * i % 7)) for i in range(9)),
+        )
+        flat = flat_index(9, 1)
+        bits = ["0"] * (9 * 8 + 8)
+        for i, j in ((0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (6, 5), (5, 2), (3, 7), (7, 8)):
+            bits[flat[0, i, j]] = "1"
+        decoding = decode_routes(build_qubo(inst), "".join(bits), inst)
+        assert decoding.routes == [[0, 1, 0]]
+        subtours = [(v.vehicle, v.detail) for v in decoding.violations if v.kind == SUBTOUR]
+        assert subtours == [(0, "closed arcs avoiding the depot over nodes [2, 3, 4]")]
+
     def test_read_back_model_decodes_like_the_built_one(self, triangle):
         built = build_qubo(triangle)
         read_back = parse_model(export_model(built))
@@ -1419,13 +1440,79 @@ class TestExportText:
 
     @pytest.mark.parametrize(
         "linear, quadratic",
-        [({}, {(0, 2): -3, (1, 2): 4}), ({0: 1, 2: -2.5}, {}), ({}, {}), ({1: 0}, {(0, 1): 0})],
+        [
+            ({}, {(0, 2): -3, (1, 2): 4}),
+            ({0: 1, 2: -2.5}, {}),
+            ({}, {}),
+            ({1: 0}, {(0, 1): 0}),
+            ({1: 0.25}, {}),
+            ({}, {(0, 2): -0.5}),
+        ],
     )
     def test_empty_term_kinds(self, linear, quadratic):
         exports_alike(lambda: QuboModel(3, dict(linear), dict(quadratic), -4, 2))
         text = frozen_export(QuboModel(3, linear, quadratic, -4, 2))
         exports_alike(lambda: parse_model(text))
         assert export_model(parse_model(text)) == text
+
+    @pytest.mark.parametrize(
+        "m, linear, quadratic",
+        [
+            # index widths 1 to 7 digits in one column: a sparse name table
+            (
+                2 * 10**6,
+                {a: -a - 1 for a in (0, 12, 345, 6789, 12345, 678901, 1234567)},
+                {(0, 1234567): 3, (12, 345): -1, (345, 6789): 7, (6789, 12345): -8, (12345, 678901): 9},
+            ),
+            # widths 1 to 4 digits in one column: a table of every index
+            (10**4, {a: a % 7 - 3 or 9 for a in range(10**4)}, {(a, a + 1): 1 for a in range(0, 10**4 - 1, 2)}),
+            # negative and 15-digit ints
+            (
+                6,
+                {0: -1, 1: 10**15 - 1, 2: -(10**15) + 1, 3: 123456789012345, 5: -7},
+                {(0, 1): -(10**15) + 1, (0, 5): 10**15 - 1, (2, 3): -1, (3, 4): 10},
+            ),
+            (3, {2: 5}, {}),  # a one-term L body
+            (3, {}, {(0, 2): -(10**15) + 1}),  # a one-term Q body
+        ],
+        ids=["sparse widths 1-7", "dense widths 1-4", "15-digit ints", "one L term", "one Q term"],
+    )
+    def test_integer_edge_cases_take_the_fast_reader(self, m, linear, quadratic):
+        exports_alike(lambda: QuboModel(m, dict(linear), dict(quadratic), -4, 2))
+        text = export_model(QuboModel(m, linear, quadratic, -4, 2))
+        assert _canonical_terms(text.partition("\n")[2], m) is not None
+        exports_alike(lambda: parse_model(text))
+        assert parse_model(text) == QuboModel(m, linear, quadratic, -4, 2)
+
+    @pytest.mark.parametrize(
+        "linear, quadratic",
+        [
+            # float reprs up to 24 bytes (-1.2345678901234567e-300), in a
+            # float64 column and in a mixed one
+            ({0: -1.2345678901234567e-300, 1: 1.2345678901234567e300, 2: 5e-324, 3: -0.1}, {(0, 1): 1e16}),
+            ({0: -1.2345678901234567e-300, 1: 2, 3: -2.0}, {(0, 1): 2.5, (1, 2): -1.2345678901234567e-300}),
+            # a 400-digit coefficient among short ones
+            ({0: 10**399 + 3, 1: -2}, {(0, 1): -(10**399) - 7, (1, 2): 5}),
+        ],
+        ids=["float64 reprs", "mixed reprs", "400 digits"],
+    )
+    def test_float_and_wide_edge_cases(self, linear, quadratic):
+        exports_alike(lambda: QuboModel(4, dict(linear), dict(quadratic), 0.5, 3))
+        text = frozen_export(QuboModel(4, linear, quadratic, 0.5, 3))
+        exports_alike(lambda: parse_model(text))
+        assert export_model(parse_model(text)) == text
+
+    def test_edited_float_model_keeps_a_float64_column(self):
+        built = build_qubo(family_instance(random.Random(3), 4, 2, 3), 0.1)
+
+        def edited():
+            return dataclasses.replace(built, linear={**built.linear, 0: 0.25})
+
+        model = edited()
+        assert model.linear._arrays[-1].dtype == np.float64
+        assert all(type(c) is float for c in model.linear.values())
+        exports_alike(edited)
+        assert parse_model(export_model(model)) == model
 
     @pytest.mark.parametrize("penalty", [AUTO, 0.1, 10**400], ids=["auto", "0.1", "10**400"])
     @pytest.mark.parametrize("size", [(12, 3, 25), (15, 4, 40)])
