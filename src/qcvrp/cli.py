@@ -7,12 +7,14 @@ export, or exactly solve the desk-scale penalty model.  Each subcommand's
 parser names its handler function, which ``cli_main`` calls.
 
 Exit codes: 0 on success, 1 when the input is understood but invalid
-(domain errors), 2 for usage errors.
+(domain errors), 2 for usage errors.  A command whose stdout reader has
+gone (``qcvrp qubo big.vrp | head -c 1``) ends quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -269,7 +271,8 @@ def _value(args: argparse.Namespace) -> None:
     print(f"co2 saved (t): {impact.co2_saved_tonnes:.6g}")
 
 
-def cli_main(argv: Sequence[str] | None = None) -> int:
+def _run(argv: Sequence[str] | None) -> int:
+    """Parse ``argv`` and run its handler; a closed stdout raises ``BrokenPipeError``."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -277,11 +280,30 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         args.handler(args)
+    except BrokenPipeError:
+        raise
     except (CvrpError, ValueError, OverflowError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
+def cli_main(argv: Sequence[str] | None = None) -> int:
+    try:
+        return _run(argv)
+    except BrokenPipeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
 def main() -> None:
-    sys.exit(cli_main(sys.argv[1:]))
+    try:
+        code = _run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout is gone, which ends the command, not an error.
+        # Point stdout at devnull so the exit-time flush of what is still
+        # buffered cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)

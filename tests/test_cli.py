@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+import os
 import random
 import subprocess
 import sys
@@ -445,6 +447,35 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "name: tiny-k1" in proc.stdout
+
+    # Buffered, the last write fails at the closing flush; unbuffered, the
+    # first print fails inside the handler.
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("command", ["qubo", "table"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, monkeypatch, command, unbuffered):
+        argv = [command]
+        if command == "qubo":
+            path = tmp_path / "n8.vrp"
+            path.write_text(serialize_instance(family_instance(random.Random(8), 8, 2, 5)), encoding="utf-8")
+            argv.append(str(path))
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "qcvrp", *argv], stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    def test_closed_stdout_in_process_is_an_error(self, capsys, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text: str) -> int:
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        code = cli_main(["table"])
+        monkeypatch.undo()
+        assert (code, capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 class TestOverflow:

@@ -46,6 +46,7 @@ from qcvrp.qubo import (
     Violation,
     _canonical_terms,
     _index_codes,
+    _parse_lines,
     _Terms,
 )
 from routing_oracle import best_routes_cost
@@ -795,8 +796,20 @@ def as_list(terms: dict) -> list:
 
 # Changes to one line of an integer model's text that leave the fast reader
 # to the line parser: those that read the same terms, and those it refuses.
-READ_ALIKE = ("blank", "tab", "l-after-q", "repeat", "16 digits", "double space", "trailing space", "no final newline")
+READ_ALIKE = ("blank", "tab", "l-after-q", "repeat", "leading zero", "double space", "trailing space", "no final newline")
 REFUSED = ("letter inside", "glued letter", "arity", "inner sign", "double sign")
+
+# Models of int64 values, or of values on both sides of the int64 edge up to
+# 20 digits, and edits of up to three characters, mostly digits, to their text.
+int64_values = st.one_of(
+    st.integers(-50, 50), st.integers(-(2**63), 2**63 - 1), st.sampled_from([2**63 - 1, -(2**63 - 1), -(2**63)])
+)
+edge_models = st.one_of(
+    text_models(values=int64_values),
+    text_models(values=st.one_of(int64_values, st.sampled_from([2**63, -(2**63) - 1, 10**19, -12345678901234567890]))),
+).filter(lambda model: any(model.linear.values()) or any(model.quadratic.values()))  # a body to edit
+edit_kinds = st.sampled_from(["replace", "replace", "delete", "insert"])
+edit_chars = st.one_of(*[st.sampled_from("0123456789")] * 3, st.sampled_from("LQ-+ \t\n"))
 
 
 class TestModelTextProperties:
@@ -811,7 +824,7 @@ class TestModelTextProperties:
         assert list(back.quadratic) == sorted(back.quadratic)
 
     @settings(max_examples=200, deadline=None)
-    @given(text_models(values=st.integers(-(10**15) + 1, 10**15 - 1)), st.data())
+    @given(text_models(values=st.integers(-(2**63), 2**63 - 1)), st.data())
     def test_perturbed_text_reads_alike(self, model, data):
         text = export_model(model)
         head, *lines = text.splitlines()
@@ -834,9 +847,9 @@ class TestModelTextProperties:
         elif how == "repeat":
             coeff = int(tokens[-1])
             lines[pos : pos + 1] = [" ".join([kind, *tokens[:-1], str(part)]) for part in (coeff - 1, 1)]
-        elif how == "16 digits":
+        elif how == "leading zero":
             sign, digits = tokens[-1][:-1].rstrip("0123456789"), tokens[-1].lstrip("-")
-            lines[pos] = " ".join([kind, *tokens[:-1], sign + digits.zfill(16)])
+            lines[pos] = " ".join([kind, *tokens[:-1], sign + "0" + digits])
         elif how == "double space":
             at = data.draw(st.integers(1, len(tokens)))
             parts = line.split(" ")
@@ -864,9 +877,33 @@ class TestModelTextProperties:
         assert as_list(slow.linear) == as_list(fast.linear)
         assert as_list(slow.quadratic) == as_list(fast.quadratic)
 
+    @settings(max_examples=400, deadline=None)
+    @given(edge_models, st.data())
+    def test_fast_reader_agrees_with_the_line_parser(self, model, data):
+        body = export_model(model).partition("\n")[2]
+        for _ in range(data.draw(st.integers(1, 3))):
+            how, at, char = data.draw(edit_kinds), data.draw(st.integers(0, len(body))), data.draw(edit_chars)
+            body = body[:at] + ("" if how == "delete" else char) + body[at + (how != "insert") :]
+        fast = _canonical_terms(body, model.num_vars)
+        if fast is None:
+            return
+        linear, quadratic = _parse_lines(enumerate(body.splitlines(), start=2), model.num_vars)
+        lin_idx, lin_val, q_a, q_b, q_val = (column.tolist() for column in fast)
+        assert [(a, c, type(c)) for a, c in zip(lin_idx, lin_val)] == as_list(linear)
+        assert [((a, b), c, type(c)) for a, b, c in zip(q_a, q_b, q_val)] == as_list(quadratic)
+
     @pytest.mark.parametrize(
         "token, fast",
-        [("-999999999999999", True), ("999999999999999", True), ("1000000000000000", False), ("-0000000000000001", False)],
+        [
+            ("-999999999999999", True),
+            ("999999999999999", True),
+            ("1000000000000000", True),
+            ("9223372036854775807", True),
+            ("-9223372036854775807", True),
+            ("-9223372036854775808", True),
+            ("9223372036854775808", False),  # one past int64: the line parser reads it exactly
+            ("-0000000000000001", False),
+        ],
     )
     def test_digit_bound_on_both_sides(self, token, fast):
         text = f"QUBO 3 0 1\nL 0 {token}\nQ 1 2 {token}\n"
