@@ -7,8 +7,9 @@ export, or exactly solve the desk-scale penalty model.  Each subcommand's
 parser names its handler function, which ``cli_main`` calls.
 
 Exit codes: 0 on success, 1 when the input is understood but invalid
-(domain errors), 2 for usage errors.  A command whose stdout reader has
-gone (``qcvrp qubo big.vrp | head -c 1``) ends quietly with 0.
+(domain errors, a model too large to allocate), 2 for usage errors.  A
+command whose stdout reader has gone (``qcvrp qubo big.vrp | head -c 1``)
+ends quietly with 0.  Input files are UTF-8, with or without a BOM.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
 
 
 def _parse_penalty(token: str):
@@ -282,7 +283,7 @@ def _run(argv: Sequence[str] | None) -> int:
         args.handler(args)
     except BrokenPipeError:
         raise
-    except (CvrpError, ValueError, OverflowError, OSError, KeyError) as exc:
+    except (CvrpError, ValueError, OverflowError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -200,33 +200,22 @@ def edge_weight(inst: CvrpInstance, i: int, j: int) -> int:
     return inst.explicit_weights[i][j]
 
 
-def arc_weights(inst: CvrpInstance, tails: np.ndarray, heads: np.ndarray) -> list[int]:
-    """``edge_weight(inst, i, j)`` for each pair of distinct nodes ``(i, j)``
-    taken from two index arrays, as Python ints."""
-    if inst.weight_kind is WeightKind.EUC_2D:
-        import numpy as np
-        pts = np.asarray(inst.coords, dtype=np.float64)
-        return _rounded_lengths(pts[tails] - pts[heads]).tolist()
-    assert inst.explicit_weights is not None
-    return [inst.explicit_weights[i][j] for i, j in zip(tails.tolist(), heads.tolist())]
-
-
-def _rounded_lengths(diff: np.ndarray) -> np.ndarray:
-    # the length of each last-axis (dx, dy), rounded half up as edge_weight rounds
-    import numpy as np
-    return np.floor(np.sqrt((diff * diff).sum(axis=-1)) + 0.5).astype(np.int64)
-
-
 def weight_matrix(inst: CvrpInstance) -> np.ndarray:
-    """Full integer distance matrix with a zero diagonal."""
+    """Full integer distance matrix with a zero diagonal: int64 when every
+    weight fits, as Euclidean weights always do, else an object array of
+    the exact Python ints, by the rule the model's coefficients follow."""
     import numpy as np
     if inst.weight_kind is WeightKind.EUC_2D:
         assert inst.coords is not None
         pts = np.asarray(inst.coords, dtype=np.float64)
-        mat = _rounded_lengths(pts[:, None, :] - pts[None, :, :])
+        diff = pts[:, None, :] - pts[None, :, :]
+        mat = np.floor(np.sqrt((diff * diff).sum(axis=-1)) + 0.5).astype(np.int64)
     else:
         assert inst.explicit_weights is not None
-        mat = np.asarray(inst.explicit_weights, dtype=np.int64)
+        try:
+            mat = np.array(inst.explicit_weights, dtype=np.int64)
+        except OverflowError:  # a weight past int64: kept exact
+            mat = np.array(inst.explicit_weights, dtype=object)
     np.fill_diagonal(mat, 0)
     return mat
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .errors import LengthMismatch, TooLarge
-from .instances import CvrpInstance, arc_weights, max_edge_weight, weight_matrix
+from .instances import CvrpInstance, max_edge_weight, weight_matrix
 
 AUTO = "auto"
 
@@ -249,7 +249,7 @@ def build_qubo(inst: CvrpInstance, penalty: Number | str = AUTO) -> QuboModel:
     biggest = max(1, cap, *inst.demands)
     int_scale = scale if isinstance(scale, int) else 1
     n_squares = nodes - 1 + k * (nodes + 2)
-    wide = (n_squares + 2) * max(int(weights.max()), 3 * int_scale * biggest * biggest) >= 2**63
+    wide = (n_squares + 2) * max(max_edge_weight(inst), 3 * int_scale * biggest * biggest) >= 2**63
     coeff_type = object if wide else np.int64
     load = np.repeat(np.array(inst.demands[1:], dtype=coeff_type), nodes - 1)
     # out_arcs[v, i] lists x[v, i -> j] and in_arcs[v, i] lists x[v, j -> i],
@@ -509,6 +509,9 @@ def brute_force_solve(model: QuboModel) -> tuple[str, Number]:
     when ``n`` enumerated and ``r`` reduced bits cost ``2**n * (1 + r)``
     beyond ``2**_WORK_BITS``; raises ``ValueError`` when the float matrices
     cannot hold the model: an int beyond float range, or a float sum past it.
+    The float64 ranking is exact while the absolute coefficients and offset
+    sum below ``2**53``; past that a non-minimal bitstring can come first,
+    returned with its exact :func:`energy`.
     """
     import numpy as np
     m = model.num_vars
@@ -606,8 +609,9 @@ def decode_routes(model: QuboModel, assignment: str, inst: CvrpInstance) -> Rout
     broke: customers left a number of times other than once, missing depot
     departures or returns, per-vehicle in/out imbalances, capacity excess,
     and set arcs forming loops that avoid the depot.  The cost sums every
-    set arc, whether or not it made it into a walk.  A model of another
-    size than the instance's :class:`VariableMap` raises ``ValueError``.
+    set arc, whether or not it made it into a walk, in exact ints from
+    :func:`weight_matrix`, which prices the arcs of :func:`build_qubo` too.
+    A model of another size than the instance's layout raises ``ValueError``.
     """
     import numpy as np
     vmap = VariableMap(inst.dimension, inst.vehicles, inst.capacity)
@@ -620,7 +624,7 @@ def decode_routes(model: QuboModel, assignment: str, inst: CvrpInstance) -> Rout
     bits = np.frombuffer(assignment.encode(), dtype=np.uint8) == ord("1")
     chosen = (arc >= 0) & bits[arc]
     _, tail, head = np.nonzero(chosen)  # in flat bit order
-    total_cost = sum(arc_weights(inst, tail, head))  # exact: ints of any size
+    total_cost = sum(weight_matrix(inst)[tail, head].tolist())
     out_deg, in_deg = chosen.sum(axis=2).tolist(), chosen.sum(axis=1).tolist()
 
     # Each walk follows a node's one set arc out, clearing it from ``loops``;

@@ -8,11 +8,42 @@ import sys
 
 import pytest
 
-from conftest import family_instance, vrp_text
+from conftest import TRIANGLE_TEXT, family_instance, vrp_text
 from routing_oracle import best_routes_cost
-from qcvrp import DiagramPoint, SchemaError, default_profiles, feasibility_diagram, serialize_instance
+from qcvrp import (
+    DiagramPoint,
+    SchemaError,
+    build_qubo,
+    default_profiles,
+    export_model,
+    feasibility_diagram,
+    parse_instance,
+    serialize_instance,
+)
 from qcvrp.cli import build_parser, cli_main
 from qcvrp.encoding import EncodingKind, LogMode, SizeConvention, encoding_qubits
+
+# a 2**70 weight on the arc 0 -> 1, which the optimum 0-2-1-0 avoids
+WIDE_EXPLICIT_TEXT = f"""NAME : wide
+TYPE : CVRP
+DIMENSION : 3
+EDGE_WEIGHT_TYPE : EXPLICIT
+EDGE_WEIGHT_FORMAT : FULL_MATRIX
+CAPACITY : 2
+VEHICLES : 1
+EDGE_WEIGHT_SECTION
+0 {2**70} 4
+3 0 5
+4 5 0
+DEMAND_SECTION
+1 0
+2 1
+3 1
+DEPOT_SECTION
+1
+-1
+EOF
+"""
 
 
 @pytest.fixture
@@ -363,6 +394,16 @@ class TestQuboAndSolve:
         assert (code, out) == (1, "")
         assert "must start with a 'QUBO' header line" in err
 
+    def test_explicit_weight_past_int64(self, capsys, tmp_path):
+        path = tmp_path / "wide.vrp"
+        path.write_text(WIDE_EXPLICIT_TEXT, encoding="utf-8")
+        code, out, err = run_cli(capsys, "qubo", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"L 0 {2**70}"
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == ["route cost: 12", "vehicle 0: 0-2-1-0", "violations: none"]
+
     def test_solve_respects_variable_ceiling(self, capsys, tmp_path):
         model_path = tmp_path / "model.txt"
         model_path.write_text("QUBO 1025 0 1\n", encoding="utf-8")
@@ -538,9 +579,51 @@ class TestOverflow:
         with pytest.raises(SchemaError, match=r"field: huge \("):
             feasibility_diagram([*points, DiagramPoint("later", 10**401, 1, False)], profile)
 
+    @pytest.mark.parametrize("command", ["qubo", "solve"])
+    def test_model_too_large_to_allocate_exits_1(self, capsys, tmp_path, command):
+        # 10**15 slack bits need ~7 PiB, past any address space: numpy refuses at once
+        path = tmp_path / "deep.vrp"
+        path.write_text(vrp_text("deep", [(0.0, 0.0), (3.0, 4.0)], [0, 1], capacity=10**15), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, str(path))
+        self.assert_one_error_line(code, out, err)
+        assert "Unable to allocate" in err
+
     @pytest.mark.parametrize("command", ["estimate", "classify"])
     def test_qubo_estimate_with_a_201_digit_capacity_exits_1(self, capsys, tmp_path, command):
         path = tmp_path / "wide.vrp"
         text = vrp_text("wide", [(0.0, 0.0), (3.0, 4.0)], [0, 1], capacity=10**200)
         path.write_text(text, encoding="utf-8")
         self.assert_one_error_line(*run_cli(capsys, command, str(path), "--encoding", "qubo"))
+
+
+class TestByteOrderMark:
+    PROFILES = '{"profiles": [{"name": "desk", "n_max": 2, "d_max": 10}]}'
+    PARAMS = "name,n,vehicles,capacity\nmini,2,1,2\n"
+    RECORDS = "instance,bks,lower_bound\nmini,100,90.5\n"
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["parse", "FILE"], TRIANGLE_TEXT),
+            (["estimate", "FILE"], TRIANGLE_TEXT),
+            (["classify", "FILE"], TRIANGLE_TEXT),
+            (["qubo", "FILE"], TRIANGLE_TEXT),
+            (["solve", "FILE"], TRIANGLE_TEXT),
+            (["solve", "FILE"], export_model(build_qubo(parse_instance(TRIANGLE_TEXT)))),
+            (["classify", "TRIANGLE", "--profiles", "FILE", "--profile", "desk"], PROFILES),
+            (["table", "FILE"], PARAMS),
+            (["diagram", "FILE", "--format", "csv"], PARAMS),
+            (["gaps", "FILE"], RECORDS),
+        ],
+        ids=["parse", "estimate", "classify", "qubo", "solve instance", "solve model", "profiles", "table",
+             "diagram", "gaps"],
+    )
+    def test_bom_copy_reads_like_the_plain_file(self, capsys, tmp_path, triangle_file, argv, text):
+        results = []
+        for mark in ("", "\ufeff"):
+            path = tmp_path / "input"
+            path.write_text(mark + text, encoding="utf-8")
+            args = [str(path) if a == "FILE" else triangle_file if a == "TRIANGLE" else a for a in argv]
+            results.append(run_cli(capsys, *args))
+        assert results[0][0] == 0 and results[0][2] == ""
+        assert results[1] == results[0]

@@ -120,6 +120,15 @@ class TestScalings:
         assert qubo == 9777**3 * 9779
         assert hobo / qubo == 1.0 / 9777
 
+    def test_non_integral_size_gives_a_float(self):
+        assert measurement_estimate(EncodingKind.QUBO, 2.5, 4) == 62.5
+        assert measurement_estimate(EncodingKind.HOBO, 10, 2.5) == 250.0
+
+    @pytest.mark.parametrize("size", ["10", None, True])
+    def test_rejects_non_number_size(self, size):
+        with pytest.raises(ValueError, match=f"size must be a positive number, got {size!r}"):
+            hamiltonian_terms(EncodingKind.QUBO, size)
+
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             hamiltonian_terms(EncodingKind.QUBO, 0)

@@ -167,6 +167,14 @@ class TestProfileConfig:
         with pytest.raises(SchemaError, match="not valid JSON"):
             load_profiles("{")
 
+    def test_non_object_entry_rejected(self):
+        with pytest.raises(SchemaError, match="each profile must be an object"):
+            load_profiles(json.dumps({"profiles": [{"name": "a", "n_max": 1, "d_max": 1}, ["b", 2, 3]]}))
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValueError, match="profile name must be nonempty"):
+            HardwareProfile("", 1, 1)
+
     def test_nonpositive_budget_rejected(self):
         doc = json.dumps({"profiles": [{"name": "a", "n_max": 0, "d_max": 1}]})
         with pytest.raises(SchemaError):

@@ -95,6 +95,24 @@ class TestParsing:
         assert edge_weight(inst, 2, 0) == 2
         assert inst.vehicles == 1  # ceil(7 / 10)
 
+    def test_weight_matrix_keeps_explicit_weights_past_int64_exact(self):
+        rows = [[0, 2**70, 4], [3, 0, 5], [4, 2**63, 0]]
+        mat = weight_matrix(explicit(rows))
+        assert mat.dtype == object
+        assert mat.tolist() == rows and all(type(w) is int for w in mat.ravel().tolist())
+        fits = [[0, 2**63 - 1], [1, 0]]
+        assert weight_matrix(explicit(fits)).dtype == "int64"
+        assert weight_matrix(explicit(fits)).tolist() == fits
+
+    def test_weight_section_may_end_the_text(self):
+        # the weight rows of a file without EOF are decoded after the last line
+        section = "EDGE_WEIGHT_SECTION\n0 7 2\n7 0 4\n2 4 0\n"
+        moved = EXPLICIT_TEXT.replace(section, "").replace("EOF\n", section.rstrip())
+        assert parse_instance(moved) == parse_instance(EXPLICIT_TEXT)
+        with pytest.raises(MalformedLine, match="edge weight must be an integer, got 'x'") as err:
+            parse_instance(moved.replace("7 0 4", "7 x 4"))
+        assert err.value.line_number == 13
+
     def test_explicit_matrix_may_be_asymmetric(self):
         text = EXPLICIT_TEXT.replace("0 7 2\n7 0 4\n2 4 0", "0 7 2\n9 0 4\n2 4 0")
         inst = parse_instance(text)
@@ -355,6 +373,10 @@ class TestVehicleInference:
     def test_suffix_must_be_at_end(self):
         assert infer_vehicle_count("k9-suffix-elsewhere", [0, 9], 2) == 5
 
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            infer_vehicle_count("foo-k7", [0, 1], 0)
+
 
 class TestParseErrors:
     @pytest.mark.parametrize("keyword", ["NAME", "DIMENSION", "CAPACITY", "EDGE_WEIGHT_TYPE"])
@@ -447,6 +469,18 @@ class TestParseErrors:
         text = triangle_text.replace("2 1\n", "2 x\n")
         with pytest.raises(MalformedLine, match="demand must be an integer"):
             parse_instance(text)
+
+    @pytest.mark.parametrize(
+        "capacity, vehicles, message",
+        [(0, None, "capacity must be positive"), (0, 1, "capacity must be positive"),
+         (1, 0, "vehicle count must be at least 1")],
+        ids=["capacity-0", "capacity-0-vehicles-1", "vehicles-0"],
+    )
+    def test_zero_capacity_or_fleet_refused(self, capacity, vehicles, message):
+        text = vrp_text("zero", [(0, 0), (1, 1)], [0, 1], capacity, vehicles=vehicles)
+        with pytest.raises(InvalidInstance) as err:
+            parse_instance(text)
+        assert str(err.value) == message
 
     def test_data_line_outside_section(self):
         with pytest.raises(MalformedLine, match="outside any section"):
@@ -543,6 +577,8 @@ class TestInstanceValidation:
         [
             ("EUC_2D", {"weight_kind": "EUC_2D"}, "weight_kind must be a WeightKind, got 'EUC_2D'"),
             ("EUC_2D", {"demands": (0, 1)}, "demands must list one value per node"),
+            ("EUC_2D", {"capacity": 0}, "capacity must be positive"),
+            ("EUC_2D", {"vehicles": 0}, "vehicle count must be at least 1"),
             ("EUC_2D", {"coords": None}, "EUC_2D instances need one coordinate pair per node"),
             ("EXPLICIT", {"explicit_weights": None}, "EXPLICIT instances need a full weight matrix"),
             ("EXPLICIT", {"explicit_weights": ((0, 1, 2), (1, 0, -3), (2, 3, 0))},
@@ -550,7 +586,7 @@ class TestInstanceValidation:
             ("EUC_2D", {"explicit_weights": ((0, 3, 4), (3, 0, 5), (4, 5, 0))},
              "only EXPLICIT instances carry a weight matrix"),
         ],
-        ids=["weight kind", "demand count", "no coordinates", "no matrix", "negative weight", "matrix on EUC_2D"],
+        ids=["weight kind", "demand count", "capacity 0", "vehicles 0", "no coordinates", "no matrix", "negative weight", "matrix on EUC_2D"],
     )
     def test_constructor_refusals_name_the_rule(self, kind, change, message):
         fields = {

@@ -414,6 +414,14 @@ class TestBruteForce:
         assert decoding.violations == []
         assert best == decoding.total_cost == 5066973234061196
 
+    @pytest.mark.xfail(strict=True, reason="candidates are ranked in float64, exact only below 2**53")
+    def test_ranking_past_two_to_the_53(self):
+        model = parse_model(
+            "QUBO 3 0 1\nL 0 18014398509481985\nL 1 -18014398509481987\nL 2 -2\n"
+            "Q 0 1 -18014398509481984\nQ 0 2 -3\nQ 1 2 3\n"
+        )
+        assert brute_force_solve(model) == ("111", -18014398509481988)
+
     def test_size_cap(self):
         # the dense bound is checked before any term is read
         with pytest.raises(TooLarge, match="1025 variables exceed the dense bound of 1024"):
@@ -698,6 +706,27 @@ class TestDecodeRoutes:
         subtours = [(v.vehicle, v.detail) for v in decoding.violations if v.kind == SUBTOUR]
         assert subtours == [(0, "closed arcs avoiding the depot over nodes [2, 3, 4]")]
 
+    def test_explicit_weight_past_int64(self):
+        # the optimum 0-2-1-0 avoids the wide arc; the model and the cost keep it exact
+        wide = 2**70
+        inst = CvrpInstance(
+            name="wide-explicit",
+            dimension=3,
+            capacity=2,
+            vehicles=1,
+            demands=(0, 1, 1),
+            weight_kind=WeightKind.EXPLICIT,
+            explicit_weights=((0, wide, 4), (3, 0, 5), (4, 5, 0)),
+        )
+        model = build_qubo(inst)
+        assert model.linear[0] == wide and type(model.linear[0]) is int
+        assert parse_model(export_model(model)) == model
+        bits, best = brute_force_solve(model)
+        decoding = decode_routes(model, bits, inst)
+        assert decoding.violations == []
+        assert decoding.total_cost == best == best_routes_cost(inst) == 12
+        assert decode_routes(model, ALT_TOUR_BITS, inst).total_cost == wide + 9
+
     def test_read_back_model_decodes_like_the_built_one(self, triangle):
         built = build_qubo(triangle)
         read_back = parse_model(export_model(built))
@@ -753,6 +782,7 @@ class TestModelText:
             ("QUBO 2 0 1\nQ 0 1 -inf\n", "line 2: '-inf' is not a finite number"),
             ("QUBO 2 inf 1\n", "line 1: 'inf' is not a finite number"),
             ("QUBO 2 0 1\n\n\nL 0 x", "line 4: 'x' is not a number"),
+            ("QUBO 2 0 1\nL 0 1\nL 1 1\u00e9\n", "line 3: '1\u00e9' is not a number"),  # non-ASCII body
             ("\nQUBO x 0 1\n", "line 2: num_vars 'x' is not an integer"),
             ("QUBO 2 0 -5\n", "line 1: penalty must be positive"),
             ("QUBO 2 0 0\n", "line 1: penalty must be positive"),
