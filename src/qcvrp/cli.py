@@ -242,6 +242,7 @@ def _solve(args: argparse.Namespace) -> None:
         model = qubo.parse_model(text)
     else:
         inst = parse_instance(text)
+        qubo.check_dense_bound(qubo.VariableMap(inst.dimension, inst.vehicles, inst.capacity).num_vars)
         model = qubo.build_qubo(inst, _parse_penalty(args.penalty))
     bits, best = qubo.brute_force_solve(model)
     print(f"assignment: {bits}")

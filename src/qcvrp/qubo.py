@@ -451,41 +451,43 @@ def _dense(model: QuboModel) -> tuple[np.ndarray, np.ndarray, float]:
     return lin, quad, offset
 
 
-def _interchangeable(lin: np.ndarray, quad: np.ndarray) -> np.ndarray:
-    """Label each variable with the first member of its group.
+def _reduced_tail(lin: np.ndarray, quad: np.ndarray) -> tuple[int, list[np.ndarray]]:
+    """The enumerated prefix length ``n`` and the groups of bits ``n..``.
 
-    Two variables are interchangeable when their linear terms are equal and
-    they couple identically to every other variable, so permuting them
-    leaves every energy unchanged.  The relation is an equivalence, and it
-    forces one common coupling inside each group.
+    Variables are interchangeable when their linear terms are equal and they
+    couple identically to every other variable: an equivalence, with one
+    common coupling inside each group.  Walking back from the last bit, a
+    bit's group is found when the walk first meets it, and the walk stops
+    at the first bit coupled to a later bit of another group; ``n`` is the
+    lowest boundary reached that no tail group straddles.  The tail groups
+    (members ascending, listed by first member) are minimized over their
+    count of set bits and the bits before them enumerated, so lexicographic
+    order is preserved.
     """
     import numpy as np
-    owner = np.full(len(lin), -1)
-    for i in range(len(lin)):
-        if owner[i] < 0:
-            same = quad == quad[i]
-            same[:, i] = True
+    group = np.full(len(lin), -1)
+    groups: list[np.ndarray] = []
+    n = low = len(lin)
+    for s in range(len(lin) - 1, -1, -1):
+        if group[s] < 0:
+            same = quad == quad[s]
+            same[:, s] = True
             np.fill_diagonal(same, True)
-            owner[same.all(axis=1) & (lin == lin[i])] = i
-    return owner
-
-
-def _enumerated_prefix(owner: np.ndarray, quad: np.ndarray) -> int:
-    """Smallest ``n`` such that bits ``n..`` are whole, mutually uncoupled groups.
-
-    Those trailing groups are minimized over their count of set bits; the
-    bits before them are enumerated, so lexicographic order is preserved.
-    """
-    import numpy as np
-    n = len(owner)
-    for s in range(n - 1, -1, -1):
-        tail = owner[s:]
-        if np.isin(tail, owner[:s]).any():
-            continue  # a group straddles s
-        if quad[s:, s:][tail[:, None] != tail[None, :]].any():
+            members = np.flatnonzero(same.all(axis=1) & (lin == lin[s]))
+            group[members] = len(groups)
+            groups.append(members)
+            low = min(low, members[0])
+        if quad[s, s + 1 :][group[s + 1 :] != group[s]].any():
             break
-        n = s
-    return n
+        if low == s:
+            n = s
+    return n, sorted((g for g in groups if g[0] >= n), key=lambda g: g[0])
+
+
+def check_dense_bound(num_vars: int) -> None:
+    """Raise ``TooLarge`` past the solver's ``_DENSE_VARS`` variables."""
+    if num_vars > _DENSE_VARS:
+        raise TooLarge(f"{num_vars} variables exceed the dense bound of {_DENSE_VARS}")
 
 
 def _bits_of(indices: np.ndarray, width: int) -> np.ndarray:
@@ -497,29 +499,26 @@ def _bits_of(indices: np.ndarray, width: int) -> np.ndarray:
 def brute_force_solve(model: QuboModel) -> tuple[str, Number]:
     """Exact global minimum of the model.
 
-    Variables with equal linear terms and identical coupling to every other
-    variable are interchangeable; these groups are read off the
-    coefficients, so a model parsed from text solves as fast as a built one.
-    Trailing groups that do not couple to each other (the slack registers
-    of ``build_qubo`` models) are minimized analytically over their count
-    of set bits.  The remaining bits split into a high and a low half, and
-    every (high, low) pair is evaluated, ``2**_CHUNK_BITS`` pairs per numpy
-    block.  Ties go to the lexicographically smallest bitstring, independent
-    of chunking.  Raises ``TooLarge`` beyond ``_DENSE_VARS`` variables, or
-    when ``n`` enumerated and ``r`` reduced bits cost ``2**n * (1 + r)``
-    beyond ``2**_WORK_BITS``; raises ``ValueError`` when the float matrices
-    cannot hold the model: an int beyond float range, or a float sum past it.
-    The float64 ranking is exact while the absolute coefficients and offset
-    sum below ``2**53``; past that a non-minimal bitstring can come first,
+    Trailing groups of interchangeable variables (the slack registers of
+    ``build_qubo`` models) are read off the coefficients by
+    :func:`_reduced_tail`, so a model parsed from text solves as fast as a
+    built one, and minimized analytically over their count of set bits.
+    The remaining bits split into a high and a low half, and every (high,
+    low) pair is evaluated, ``2**_CHUNK_BITS`` pairs per numpy block.  Ties
+    go to the lexicographically smallest bitstring, independent of
+    chunking.  Raises ``TooLarge`` beyond ``_DENSE_VARS`` variables, or when
+    ``n`` enumerated and ``r`` reduced bits cost ``2**n * (1 + r)`` beyond
+    ``2**_WORK_BITS``; raises ``ValueError`` when the float matrices cannot
+    hold the model: an int beyond float range, or a float sum past it.  The
+    float64 ranking is exact while the absolute coefficients and offset sum
+    below ``2**53``; past that a non-minimal bitstring can come first,
     returned with its exact :func:`energy`.
     """
     import numpy as np
     m = model.num_vars
-    if m > _DENSE_VARS:
-        raise TooLarge(f"{m} variables exceed the dense bound of {_DENSE_VARS}")
+    check_dense_bound(m)
     lin, quad, offset = _dense(model)
-    owner = _interchangeable(lin, quad)
-    n = _enumerated_prefix(owner, quad)
+    n, groups = _reduced_tail(lin, quad)
     if (1 + m - n) << n > 1 << _WORK_BITS:
         raise TooLarge(f"enumeration work 2**{n} * (1 + {m - n}) exceeds the bound of 2**{_WORK_BITS}")
     n_lo = min((n + 1) // 2, _CHUNK_BITS)
@@ -539,7 +538,7 @@ def brute_force_solve(model: QuboModel) -> tuple[str, Number]:
     # and c @ x separates into h @ c_hi + l @ c_lo.  Keep t >= 1 per row;
     # t = 0 adds nothing.
     tails = []
-    for members in (np.flatnonzero(owner == first) for first in np.unique(owner[n:])):
+    for members in groups:
         t = np.arange(1, len(members) + 1, dtype=np.float64)[:, None]
         pair = quad[members[0], members[1]] if len(members) > 1 else 0.0
         c = quad[members[0]]

@@ -71,7 +71,8 @@ def gap_records_from_csv(
 
     The gap itself is computed, not read, so one file serves both
     denominator conventions.  A row whose values are not numbers, or not
-    finite and positive, raises ``SchemaError`` naming its instance.
+    finite and positive, or whose gap leaves float range, raises
+    ``SchemaError`` naming its instance.
     """
     reader = csv.DictReader(io.StringIO(text))
     fields = reader.fieldnames or []
@@ -86,18 +87,14 @@ def gap_records_from_csv(
             lower = float(row["lower_bound"])
         except (TypeError, ValueError):
             raise SchemaError(name, "bks and lower_bound must be numbers") from None
-        try:
+        try:  # a gap past float range is refused by GapRecord
             gap = optimality_gap(bks, lower, denominator)
+            record = GapRecord(
+                instance_name=(row["instance"] or "").strip(), bks=bks, lower_bound=lower, gap_percent=gap
+            )
         except ValueError as exc:
             raise SchemaError(name, str(exc)) from None
-        records.append(
-            GapRecord(
-                instance_name=(row["instance"] or "").strip(),
-                bks=bks,
-                lower_bound=lower,
-                gap_percent=gap,
-            )
-        )
+        records.append(record)
     return records
 
 
@@ -125,7 +122,8 @@ def impact_estimate(
     ``improvement`` is the relative route-length reduction in [0, 1].  Fuel
     follows from consumption per 100 km, cost from the litre price, and CO2
     from kilograms emitted per litre (reported in tonnes).  Every value
-    must be a nonnegative number, finite if a float.
+    must be a nonnegative number, finite if a float; ``ValueError`` names
+    the first saving whose product leaves float range.
     """
     values = {
         "baseline_km": baseline_km,
@@ -145,11 +143,13 @@ def impact_estimate(
         raise ValueError("improvement is a fraction and cannot exceed 1")
     km_saved = baseline_km * improvement
     litres = km_saved * fuel_l_per_100km / 100.0
-    return ImpactEstimate(
-        baseline_km=baseline_km,
-        improvement=improvement,
-        km_saved=km_saved,
-        litres_saved=litres,
-        fuel_cost_saved=litres * fuel_price_per_l,
-        co2_saved_tonnes=litres * co2_kg_per_l / 1000.0,
-    )
+    savings = {
+        "km_saved": km_saved,
+        "litres_saved": litres,
+        "fuel_cost_saved": litres * fuel_price_per_l,
+        "co2_saved_tonnes": litres * co2_kg_per_l / 1000.0,
+    }
+    for name, saved in savings.items():
+        if isinstance(saved, float) and not math.isfinite(saved):
+            raise ValueError(f"{name} is past float range")
+    return ImpactEstimate(baseline_km=baseline_km, improvement=improvement, **savings)

@@ -410,6 +410,18 @@ class TestQuboAndSolve:
         expected = (1, "", "error: 1025 variables exceed the dense bound of 1024\n")
         assert run_cli(capsys, "solve", str(model_path)) == expected
 
+    def test_solve_checks_the_variable_bound_before_building(self, capsys, tmp_path, monkeypatch):
+        # 2 customers, 1 vehicle, capacity 3000: 6 route and 3000 slack bits
+        path = tmp_path / "big.vrp"
+        path.write_text(TRIANGLE_TEXT.replace("CAPACITY : 2", "CAPACITY : 3000"), encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_qubo ran before the variable bound was checked")
+
+        monkeypatch.setattr("qcvrp.qubo.build_qubo", refuse)
+        expected = (1, "", "error: 3006 variables exceed the dense bound of 1024\n")
+        assert run_cli(capsys, "solve", str(path)) == expected
+
     def test_solve_takes_no_variable_cap(self, capsys, triangle_file):
         code, out, err = run_cli(capsys, "solve", triangle_file, "--max-vars", "4")
         assert (code, out) == (2, "")
@@ -459,6 +471,10 @@ class TestValue:
         code, out, err = run_cli(capsys, "value", "--km", "nan", "--delta", "0.1")
         assert (code, out) == (1, "")
         assert "baseline_km must be finite" in err
+
+    def test_saving_past_float_range(self, capsys):
+        code, out, err = run_cli(capsys, "value", "--km", "1e308", "--delta", "1", "--l100", "1e308")
+        assert (code, out, err) == (1, "", "error: litres_saved is past float range\n")
 
 
 class TestExitCodes:
@@ -581,12 +597,14 @@ class TestOverflow:
 
     @pytest.mark.parametrize("command", ["qubo", "solve"])
     def test_model_too_large_to_allocate_exits_1(self, capsys, tmp_path, command):
-        # 10**15 slack bits need ~7 PiB, past any address space: numpy refuses at once
+        # 10**15 slack bits need ~7 PiB, past any address space: numpy refuses
+        # at once; solve refuses by the variable count before building
         path = tmp_path / "deep.vrp"
         path.write_text(vrp_text("deep", [(0.0, 0.0), (3.0, 4.0)], [0, 1], capacity=10**15), encoding="utf-8")
         code, out, err = run_cli(capsys, command, str(path))
         self.assert_one_error_line(code, out, err)
-        assert "Unable to allocate" in err
+        expected = {"qubo": "Unable to allocate", "solve": f"{10**15 + 2} variables exceed the dense bound of 1024"}
+        assert expected[command] in err
 
     @pytest.mark.parametrize("command", ["estimate", "classify"])
     def test_qubo_estimate_with_a_201_digit_capacity_exits_1(self, capsys, tmp_path, command):

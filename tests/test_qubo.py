@@ -45,8 +45,10 @@ from qcvrp.qubo import (
     RouteDecoding,
     Violation,
     _canonical_terms,
+    _dense,
     _index_codes,
     _parse_lines,
+    _reduced_tail,
     _Terms,
 )
 from routing_oracle import best_routes_cost
@@ -430,6 +432,10 @@ class TestBruteForce:
         quadratic = {(a, b): a + b for a, b in itertools.combinations(range(31), 2)}
         with pytest.raises(TooLarge, match=r"enumeration work 2\*\*30 \* \(1 \+ 1\) exceeds the bound of 2\*\*30"):
             brute_force_solve(QuboModel(31, {}, quadratic, 0, 1))
+        # a chain at the dense bound: every bit a group of its own
+        chain = QuboModel(1024, {i: 1 for i in range(1024)}, {(i, i + 1): -1 for i in range(1023)}, 0, 1)
+        with pytest.raises(TooLarge, match=r"enumeration work 2\*\*1023 \* \(1 \+ 1\) exceeds the bound of 2\*\*30"):
+            brute_force_solve(chain)
 
     def test_matches_oracle_on_a_random_instance(self):
         inst = family_instance(random.Random(3), customers=3, vehicles=1, capacity=2)
@@ -582,6 +588,64 @@ class TestSolverKernel:
         # numpy, or a list, would read index -1 as the last variable
         with pytest.raises(ValueError, match=message):
             QuboModel(num_vars=2, linear=linear, quadratic=quadratic, offset=0, penalty=1)
+
+
+def reduced_tail_by_rule(lin: np.ndarray, quad: np.ndarray) -> tuple[int, list[list[int]]]:
+    """``(n, groups)`` from the definitions alone: ``i`` and ``j`` are alike
+    when their linear terms are equal and they couple equally to every other
+    variable; ``n`` is the smallest boundary whose tail holds whole groups
+    with no coupling between groups, listed by first member."""
+    m = len(lin)
+
+    def alike(i: int, j: int) -> bool:
+        return lin[i] == lin[j] and all(quad[i, k] == quad[j, k] for k in range(m) if k not in (i, j))
+
+    for s in range(m + 1):
+        tail = range(s, m)
+        whole = not any(alike(i, j) for i in tail for j in range(s))
+        if whole and all(quad[i, j] == 0 or alike(i, j) for i, j in itertools.combinations(tail, 2)):
+            groups: list[list[int]] = []
+            for i in tail:
+                if not any(i in g for g in groups):
+                    groups.append([j for j in tail if j == i or alike(i, j)])
+            return s, groups
+    raise AssertionError("the empty tail always qualifies")
+
+
+@st.composite
+def float_planted_models(draw) -> QuboModel:
+    """:func:`planted_models` scaled to float coefficients, with one coupling
+    sometimes nudged off its planted value, which can split a group."""
+    model = draw(planted_models())
+    scale = draw(st.sampled_from([0.1, 1 / 3, 2.5e-3]))
+    linear = {i: v * scale for i, v in model.linear.items()}
+    quadratic = {key: v * scale for key, v in model.quadratic.items()}
+    if model.num_vars > 1 and draw(st.booleans()):
+        key = tuple(sorted(draw(st.lists(st.integers(0, model.num_vars - 1), min_size=2, max_size=2, unique=True))))
+        quadratic[key] = quadratic.get(key, 0.0) + 1e-9
+    return QuboModel(model.num_vars, linear, quadratic, offset=model.offset * scale, penalty=1)
+
+
+class TestReducedTail:
+    @staticmethod
+    def check(model: QuboModel) -> None:
+        lin, quad, _ = _dense(model)
+        n, groups = _reduced_tail(lin, quad)
+        assert (n, [g.tolist() for g in groups]) == reduced_tail_by_rule(lin, quad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_models())
+    def test_matches_the_rule(self, model):
+        self.check(model)
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_planted_models())
+    def test_matches_the_rule_with_float_coefficients(self, model):
+        self.check(model)
+
+    def test_built_slack_registers_are_the_tail(self, triangle):
+        lin, quad, _ = _dense(build_qubo(triangle))
+        assert [g.tolist() for g in _reduced_tail(lin, quad)[1]] == [[6, 7]]
 
 
 class TestTwoCycleRule:

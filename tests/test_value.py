@@ -81,6 +81,12 @@ class TestGapRecords:
             with pytest.raises(SchemaError, match=rf"field: A \(.* must be {reason}\)"):
                 gap_records_from_csv(f"instance,bks,lower_bound\nB,2,1\n{row}\n")
 
+    @pytest.mark.parametrize("denominator", list(GapDenominator))
+    def test_gap_past_float_range_names_its_row(self, denominator):
+        # finite inputs whose gap, 100 * 1e308 / 1e308, leaves float range
+        with pytest.raises(SchemaError, match=r"field: x \(.* must be finite\)"):
+            gap_records_from_csv("instance,bks,lower_bound\nB,2,1\nx,1e308,1e-308\n", denominator)
+
     def test_record_validation(self):
         with pytest.raises(ValueError):
             GapRecord("x", bks=-1, lower_bound=1, gap_percent=0)
@@ -150,3 +156,15 @@ class TestImpactEstimate:
         good.update(kwargs)
         with pytest.raises(ValueError):
             impact_estimate(**good)
+
+    @pytest.mark.parametrize(
+        "args, figure",
+        [
+            ((1e308, 1, 1e308, 1.0, 2.6), "litres_saved"),
+            ((1e308, 1, 1, 1e308, 2.6), "fuel_cost_saved"),
+            ((1e308, 1, 1, 1.0, 1e308), "co2_saved_tonnes"),
+        ],
+    )
+    def test_saving_past_float_range_is_named(self, args, figure):
+        with pytest.raises(ValueError, match=f"^{figure} is past float range$"):
+            impact_estimate(*args)
