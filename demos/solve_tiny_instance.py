@@ -2,22 +2,21 @@
 """Build, exactly solve, and decode the penalty model of a toy instance.
 
 Walks the full desk-scale pipeline: parse a two-vehicle, three-customer
-instance, assemble its penalty model, minimize over every assignment,
-decode the optimal bitstring back into routes, and check the energy against
-the plain route cost.  Also shows what a constraint violation looks like by
+instance, then one ``solve_instance`` call assembles its penalty model,
+minimizes over every assignment and decodes the optimal bitstring back into
+routes; the demo checks the energy against the plain route cost.  Also shows what a constraint violation looks like by
 decoding a deliberately broken assignment.
 """
 
 from __future__ import annotations
 
 from qcvrp import (
-    brute_force_solve,
-    build_qubo,
     count_terms,
     decode_routes,
     energy,
     export_model,
     parse_instance,
+    solve_instance,
 )
 
 TOY = """NAME : corner-k2
@@ -48,16 +47,16 @@ def main() -> None:
     print(f"instance {inst.name}: {inst.customers} customers, "
           f"{inst.vehicles} vehicles, capacity {inst.capacity}")
 
-    model = build_qubo(inst)
+    solution = solve_instance(inst)
+    model = solution.model
     n_lin, n_quad = count_terms(model)
     print(f"penalty model: {model.num_vars} binary variables, "
           f"{n_lin} linear + {n_quad} quadratic terms, penalty weight {model.penalty}")
     print(f"export preview: {export_model(model).splitlines()[0]!r}")
     print()
 
-    assignment, best = brute_force_solve(model)
-    decoding = decode_routes(model, assignment, inst)
-    print(f"optimal assignment: {assignment}")
+    best, decoding = solution.energy, solution.decoding
+    print(f"optimal assignment: {solution.assignment}")
     print(f"optimal energy:     {best}")
     print(f"decoded route cost: {decoding.total_cost}")
     for v, route in enumerate(decoding.routes):

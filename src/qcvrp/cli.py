@@ -237,19 +237,16 @@ def _qubo(args: argparse.Namespace) -> None:
 
 def _solve(args: argparse.Namespace) -> None:
     text = _read(args.file)
-    inst = None
+    decoding = None
     if text.lstrip().startswith("QUBO"):
-        model = qubo.parse_model(text)
+        bits, best = qubo.brute_force_solve(qubo.parse_model(text))
     else:
-        inst = parse_instance(text)
-        qubo.check_dense_bound(qubo.VariableMap(inst.dimension, inst.vehicles, inst.capacity).num_vars)
-        model = qubo.build_qubo(inst, _parse_penalty(args.penalty))
-    bits, best = qubo.brute_force_solve(model)
+        solution = qubo.solve_instance(parse_instance(text), _parse_penalty(args.penalty))
+        bits, best, decoding = solution.assignment, solution.energy, solution.decoding
     print(f"assignment: {bits}")
     print(f"energy: {best}")
-    if inst is None:
+    if decoding is None:
         return
-    decoding = qubo.decode_routes(model, bits, inst)
     print(f"route cost: {decoding.total_cost}")
     for v, route in enumerate(decoding.routes):
         print(f"vehicle {v}: {'-'.join(str(n) for n in route)}")

@@ -470,10 +470,11 @@ def _reduced_tail(lin: np.ndarray, quad: np.ndarray) -> tuple[int, list[np.ndarr
     n = low = len(lin)
     for s in range(len(lin) - 1, -1, -1):
         if group[s] < 0:
-            same = quad == quad[s]
+            cand = np.flatnonzero(lin == lin[s])
+            same = quad[cand] == quad[s]
             same[:, s] = True
-            np.fill_diagonal(same, True)
-            members = np.flatnonzero(same.all(axis=1) & (lin == lin[s]))
+            same[np.arange(len(cand)), cand] = True
+            members = cand[same.all(axis=1)]
             group[members] = len(groups)
             groups.append(members)
             low = min(low, members[0])
@@ -484,7 +485,7 @@ def _reduced_tail(lin: np.ndarray, quad: np.ndarray) -> tuple[int, list[np.ndarr
     return n, sorted((g for g in groups if g[0] >= n), key=lambda g: g[0])
 
 
-def check_dense_bound(num_vars: int) -> None:
+def _check_dense_bound(num_vars: int) -> None:
     """Raise ``TooLarge`` past the solver's ``_DENSE_VARS`` variables."""
     if num_vars > _DENSE_VARS:
         raise TooLarge(f"{num_vars} variables exceed the dense bound of {_DENSE_VARS}")
@@ -516,7 +517,7 @@ def brute_force_solve(model: QuboModel) -> tuple[str, Number]:
     """
     import numpy as np
     m = model.num_vars
-    check_dense_bound(m)
+    _check_dense_bound(m)
     lin, quad, offset = _dense(model)
     n, groups = _reduced_tail(lin, quad)
     if (1 + m - n) << n > 1 << _WORK_BITS:
@@ -681,6 +682,30 @@ def decode_routes(model: QuboModel, assignment: str, inst: CvrpInstance) -> Rout
             )
 
     return RouteDecoding(routes=routes, violations=violations, total_cost=total_cost)
+
+
+@dataclass(frozen=True)
+class InstanceSolution:
+    """An instance's penalty model, its exact optimum and that optimum's routes."""
+
+    model: QuboModel
+    assignment: str
+    energy: Number
+    decoding: RouteDecoding
+
+
+def solve_instance(inst: CvrpInstance, penalty: Number | str = AUTO) -> InstanceSolution:
+    """Build, exactly solve and decode an instance's penalty model.
+
+    The variable count of the instance's layout is checked against the
+    solver's dense bound first, so an instance past it raises ``TooLarge``
+    before any term is built; ``penalty`` is read as :func:`build_qubo`
+    reads it, and the optimum is :func:`brute_force_solve`'s.
+    """
+    _check_dense_bound(VariableMap(inst.dimension, inst.vehicles, inst.capacity).num_vars)
+    model = build_qubo(inst, penalty)
+    assignment, best = brute_force_solve(model)
+    return InstanceSolution(model, assignment, best, decode_routes(model, assignment, inst))
 
 
 def _format_number(value: Number) -> str:

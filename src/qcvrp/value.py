@@ -34,7 +34,8 @@ def optimality_gap(
 
     ``100 * (solution - lower_bound) / solution`` by default;
     ``GapDenominator.LOWER_BOUND`` divides by the bound instead.  Both
-    values must be positive and, if floats, finite.
+    values must be positive and, if floats, finite; ``ValueError`` names a
+    gap that leaves float range, such as ``optimality_gap(1e308, 1e-308)``.
     """
     for name, number in (("solution value", solution), ("lower bound", lower_bound)):
         if isinstance(number, float) and not math.isfinite(number):
@@ -42,9 +43,10 @@ def optimality_gap(
         if not number > 0:
             raise ValueError(f"{name} must be positive")
     diff = solution - lower_bound
-    if denominator is GapDenominator.SOLUTION:
-        return 100.0 * diff / solution
-    return 100.0 * diff / lower_bound
+    gap = 100.0 * diff / (solution if denominator is GapDenominator.SOLUTION else lower_bound)
+    if not math.isfinite(gap):
+        raise ValueError(f"the gap {gap} is past float range; a gap must be finite")
+    return gap
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ def gap_records_from_csv(
             lower = float(row["lower_bound"])
         except (TypeError, ValueError):
             raise SchemaError(name, "bks and lower_bound must be numbers") from None
-        try:  # a gap past float range is refused by GapRecord
+        try:
             gap = optimality_gap(bks, lower, denominator)
             record = GapRecord(
                 instance_name=(row["instance"] or "").strip(), bks=bks, lower_bound=lower, gap_percent=gap

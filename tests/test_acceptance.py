@@ -45,7 +45,6 @@ from qcvrp import (
     bundled_params,
     classify,
     count_terms,
-    brute_force_solve,
     decode_routes,
     depth_estimate,
     diagram_points,
@@ -63,6 +62,7 @@ from qcvrp import (
     render_gap_table,
     render_resource_table,
     serialize_instance,
+    solve_instance,
 )
 from qcvrp.instances import weight_matrix
 from routing_oracle import best_routes_cost
@@ -211,14 +211,13 @@ class TestAcceptance:
             instances = small_family()
             assert len(instances) >= 20
             for inst in instances:
-                model = build_qubo(inst)
-                assignment, best = brute_force_solve(model)
-                decoding = decode_routes(model, assignment, inst)
+                solution = solve_instance(inst)
+                decoding = solution.decoding
                 assert decoding.violations == [], inst.name
                 oracle = best_routes_cost(inst)
                 assert oracle is not None, inst.name
                 assert decoding.total_cost == oracle, inst.name
-                assert best == oracle, inst.name
+                assert solution.energy == oracle, inst.name
             elapsed = time.monotonic() - start
             assert elapsed < 60.0, f"took {elapsed:.1f}s"
 

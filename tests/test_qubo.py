@@ -33,6 +33,7 @@ from qcvrp import (
     parse_instance,
     parse_model,
     qubo_qubits,
+    solve_instance,
 )
 from qcvrp.instances import edge_weight, max_edge_weight, weight_matrix
 from qcvrp.qubo import (
@@ -159,11 +160,10 @@ class TestBuildQubo:
             weight_kind=WeightKind.EUC_2D,
             coords=((0.0, 0.0), (0.0, 0.0)),
         )
-        model = build_qubo(flat)
-        assert model.penalty > 0
-        bits, best = brute_force_solve(model)
-        assert best == 0
-        assert decode_routes(model, bits, flat).violations == []
+        solution = solve_instance(flat)
+        assert solution.model.penalty > 0
+        assert solution.energy == 0
+        assert solution.decoding.violations == []
 
     @pytest.mark.parametrize("bad", [0, -1, "big", True])
     def test_penalty_validation(self, triangle, bad):
@@ -385,12 +385,11 @@ class TestBruteForce:
             weight_kind=WeightKind.EUC_2D,
             coords=((0.0, 0.0), (0.0, 3.0), (4.0, 0.0)),
         )
-        model = build_qubo(inst)
-        bits, best = brute_force_solve(model)
-        decoding = decode_routes(model, bits, inst)
+        solution = solve_instance(inst)
+        decoding = solution.decoding
         assert decoding.violations == []
         assert decoding.total_cost == 14  # two out-and-back runs
-        assert best == 14
+        assert solution.energy == 14
         served = sorted(node for route in decoding.routes for node in route if node)
         assert served == [1, 2]
 
@@ -410,11 +409,9 @@ class TestBruteForce:
                 (0.0, 0.0),
             ),
         )
-        model = build_qubo(inst)
-        bits, best = brute_force_solve(model)
-        decoding = decode_routes(model, bits, inst)
-        assert decoding.violations == []
-        assert best == decoding.total_cost == 5066973234061196
+        solution = solve_instance(inst)
+        assert solution.decoding.violations == []
+        assert solution.energy == solution.decoding.total_cost == 5066973234061196
 
     @pytest.mark.xfail(strict=True, reason="candidates are ranked in float64, exact only below 2**53")
     def test_ranking_past_two_to_the_53(self):
@@ -439,12 +436,11 @@ class TestBruteForce:
 
     def test_matches_oracle_on_a_random_instance(self):
         inst = family_instance(random.Random(3), customers=3, vehicles=1, capacity=2)
-        model = build_qubo(inst)
-        bits, best = brute_force_solve(model)
-        decoding = decode_routes(model, bits, inst)
+        solution = solve_instance(inst)
+        decoding = solution.decoding
         assert decoding.violations == []
         assert decoding.total_cost == best_routes_cost(inst)
-        assert best == decoding.total_cost
+        assert solution.energy == decoding.total_cost
 
     # Above the former 30-variable cap: the slack registers are reduced, so
     # 24 (n=3, k=2) and 20 (n=4, k=1) route bits are enumerated.  Seed 3 is
@@ -452,23 +448,43 @@ class TestBruteForce:
     @pytest.mark.parametrize("customers, vehicles, capacity, seed", [(3, 2, 10, 0), (3, 2, 16, 1), (4, 1, 200, 3)])
     def test_matches_oracle_above_thirty_variables(self, customers, vehicles, capacity, seed):
         inst = family_instance(random.Random(seed), customers, vehicles, capacity)
-        model = build_qubo(inst)
-        assert model.num_vars > 30
-        bits, best = brute_force_solve(model)
-        decoding = decode_routes(model, bits, inst)
-        assert decoding.violations == []
-        assert best == decoding.total_cost == best_routes_cost(inst)
+        solution = solve_instance(inst)
+        assert solution.model.num_vars > 30
+        assert solution.decoding.violations == []
+        assert solution.energy == solution.decoding.total_cost == best_routes_cost(inst)
 
     def test_four_customers_admit_a_depot_avoiding_loop(self):
         # With four customers the rules admit one out-and-back run plus a
         # loop over the other three; the decoder reports it.  Seeds 0-2 of
         # the n=4, k=1 family solve to such a loop at C = 3..8 and C = 200.
         inst = family_instance(random.Random(0), customers=4, vehicles=1, capacity=3)
-        model = build_qubo(inst)
+        solution = solve_instance(inst)
+        assert [v.kind for v in solution.decoding.violations] == [SUBTOUR]
+        assert solution.energy == solution.decoding.total_cost < best_routes_cost(inst)
+
+
+class TestSolveInstance:
+    def test_bound_is_checked_before_building(self, monkeypatch):
+        # 1 vehicle over 3 nodes: 6 route bits and 3000 slack bits
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_qubo ran before the variable bound was checked")
+
+        monkeypatch.setattr("qcvrp.qubo.build_qubo", refuse)
+        with pytest.raises(TooLarge, match="^3006 variables exceed the dense bound of 1024$"):
+            solve_instance(two_customer_instance(capacity=3000))
+
+    @pytest.mark.parametrize("penalty", [AUTO, 3, 0.5])
+    @pytest.mark.parametrize("customers, vehicles", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("capacity", [1, 3])
+    def test_matches_the_explicit_chain(self, customers, vehicles, capacity, penalty):
+        # the one test that spells the chain out, as the seam's reference
+        inst = family_instance(random.Random(customers * 10 + vehicles), customers, vehicles, capacity)
+        model = build_qubo(inst, penalty)
         bits, best = brute_force_solve(model)
-        decoding = decode_routes(model, bits, inst)
-        assert [v.kind for v in decoding.violations] == [SUBTOUR]
-        assert best == decoding.total_cost < best_routes_cost(inst)
+        solution = solve_instance(inst, penalty)
+        assert solution.model == model
+        assert (solution.assignment, solution.energy) == (bits, best)
+        assert solution.decoding == decode_routes(model, bits, inst)
 
 
 def reference_solve(model: QuboModel) -> tuple[str, object]:
@@ -647,6 +663,14 @@ class TestReducedTail:
         lin, quad, _ = _dense(build_qubo(triangle))
         assert [g.tolist() for g in _reduced_tail(lin, quad)[1]] == [[6, 7]]
 
+    def test_every_bit_a_group_of_its_own(self):
+        # distinct linear terms and no couplings: 1024 uncoupled singleton groups
+        model = QuboModel(1024, {i: i + 1 for i in range(1024)}, {}, 0, 1)
+        lin, quad, _ = _dense(model)
+        n, groups = _reduced_tail(lin, quad)
+        assert n == 0 and [g.tolist() for g in groups] == [[i] for i in range(1024)]
+        assert brute_force_solve(model) == ("0" * 1024, 0)
+
 
 class TestTwoCycleRule:
     @staticmethod
@@ -672,11 +696,9 @@ class TestTwoCycleRule:
 
     def test_pair_rule_restores_the_true_optimum(self):
         inst = self.far_pair_instance()
-        model = build_qubo(inst)
-        bits, best = brute_force_solve(model)
-        decoding = decode_routes(model, bits, inst)
-        assert decoding.violations == []
-        assert best == decoding.total_cost == best_routes_cost(inst)
+        solution = solve_instance(inst)
+        assert solution.decoding.violations == []
+        assert solution.energy == solution.decoding.total_cost == best_routes_cost(inst)
 
     def test_pair_rule_is_free_for_valid_tours(self, triangle):
         with_rule = build_qubo(triangle)
@@ -782,13 +804,12 @@ class TestDecodeRoutes:
             weight_kind=WeightKind.EXPLICIT,
             explicit_weights=((0, wide, 4), (3, 0, 5), (4, 5, 0)),
         )
-        model = build_qubo(inst)
+        solution = solve_instance(inst)
+        model = solution.model
         assert model.linear[0] == wide and type(model.linear[0]) is int
         assert parse_model(export_model(model)) == model
-        bits, best = brute_force_solve(model)
-        decoding = decode_routes(model, bits, inst)
-        assert decoding.violations == []
-        assert decoding.total_cost == best == best_routes_cost(inst) == 12
+        assert solution.decoding.violations == []
+        assert solution.decoding.total_cost == solution.energy == best_routes_cost(inst) == 12
         assert decode_routes(model, ALT_TOUR_BITS, inst).total_cost == wide + 9
 
     def test_read_back_model_decodes_like_the_built_one(self, triangle):

@@ -51,6 +51,13 @@ class TestOptimalityGap:
         with pytest.raises(ValueError):
             optimality_gap(solution, lower)
 
+    @pytest.mark.parametrize("denominator", list(GapDenominator))
+    @pytest.mark.parametrize("solution, lower, gap", [(1e308, 1e-308, "inf"), (1e-308, 1e308, "-inf")])
+    def test_gap_past_float_range_is_refused_by_name(self, solution, lower, gap, denominator):
+        # finite, positive inputs: 100 * (solution - lower) leaves float range
+        with pytest.raises(ValueError, match=rf"^the gap {gap} is past float range; a gap must be finite$"):
+            optimality_gap(solution, lower, denominator)
+
 
 class TestGapRecords:
     def test_bundled_records_match_frozen_rows(self):
