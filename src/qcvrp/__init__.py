@@ -5,162 +5,64 @@ registers, Hamiltonian terms, circuit volume, and measurement budgets of
 two standard quantum encodings, classifies instances against hardware
 profiles, renders the benchmark tables and feasibility diagrams, and builds
 small exact penalty models that a brute-force solver can certify.
+
+Each public name is imported from its submodule on first use, so
+``import qcvrp`` and the estimation and report paths never compile the
+instance parser or the penalty-model solver.
 """
 
 from __future__ import annotations
 
-from .encoding import (
-    DEFAULT_LAYERS,
-    EncodingKind,
-    LogMode,
-    ResourceEstimate,
-    SizeConvention,
-    circuit_volume,
-    depth_estimate,
-    error_rate_threshold,
-    estimate_instance,
-    hamiltonian_terms,
-    hobo_qubits,
-    measurement_estimate,
-    quantum_volume,
-    qubo_qubits,
-)
-from .errors import (
-    CvrpError,
-    DimensionMismatch,
-    DuplicateName,
-    EmptyInput,
-    IndexOutOfRange,
-    InvalidInstance,
-    LengthMismatch,
-    MalformedLine,
-    MissingSection,
-    SchemaError,
-    TooLarge,
-    UnsupportedEdgeWeightType,
-)
-from .hardware import (
-    FeasibilityVerdict,
-    HardwareProfile,
-    classify,
-    default_profiles,
-    feasibility_point,
-    get_profile,
-    load_profiles,
-)
-from .instances import (
-    CvrpInstance,
-    WeightKind,
-    infer_vehicle_count,
-    parse_instance,
-    serialize_instance,
-)
-from .qubo import (
-    AUTO,
-    InstanceSolution,
-    QuboModel,
-    RouteDecoding,
-    VariableMap,
-    Violation,
-    brute_force_solve,
-    build_qubo,
-    count_terms,
-    decode_routes,
-    energy,
-    export_model,
-    parse_model,
-    solve_instance,
-)
-from .report import (
-    DiagramPoint,
-    InstanceParams,
-    bundled_gap_csv,
-    bundled_params,
-    diagram_points,
-    feasibility_diagram,
-    load_params_csv,
-    params_estimate,
-    render_gap_table,
-    render_resource_table,
-)
-from .value import (
-    GapDenominator,
-    GapRecord,
-    ImpactEstimate,
-    gap_records_from_csv,
-    impact_estimate,
-    optimality_gap,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AUTO",
-    "CvrpError",
-    "CvrpInstance",
-    "DEFAULT_LAYERS",
-    "DiagramPoint",
-    "DimensionMismatch",
-    "DuplicateName",
-    "EmptyInput",
-    "EncodingKind",
-    "FeasibilityVerdict",
-    "GapDenominator",
-    "GapRecord",
-    "HardwareProfile",
-    "ImpactEstimate",
-    "IndexOutOfRange",
-    "InstanceParams",
-    "InstanceSolution",
-    "InvalidInstance",
-    "LengthMismatch",
-    "LogMode",
-    "MalformedLine",
-    "MissingSection",
-    "QuboModel",
-    "ResourceEstimate",
-    "RouteDecoding",
-    "SchemaError",
-    "SizeConvention",
-    "TooLarge",
-    "UnsupportedEdgeWeightType",
-    "VariableMap",
-    "Violation",
-    "WeightKind",
-    "brute_force_solve",
-    "build_qubo",
-    "bundled_gap_csv",
-    "bundled_params",
-    "circuit_volume",
-    "classify",
-    "count_terms",
-    "decode_routes",
-    "default_profiles",
-    "depth_estimate",
-    "diagram_points",
-    "energy",
-    "error_rate_threshold",
-    "estimate_instance",
-    "export_model",
-    "feasibility_diagram",
-    "feasibility_point",
-    "gap_records_from_csv",
-    "get_profile",
-    "hamiltonian_terms",
-    "hobo_qubits",
-    "impact_estimate",
-    "infer_vehicle_count",
-    "load_params_csv",
-    "load_profiles",
-    "measurement_estimate",
-    "optimality_gap",
-    "params_estimate",
-    "parse_instance",
-    "parse_model",
-    "quantum_volume",
-    "qubo_qubits",
-    "render_gap_table",
-    "render_resource_table",
-    "serialize_instance",
-    "solve_instance",
-]
+# The public names of each submodule; ``__all__`` and ``dir()`` come from here.
+_EXPORTS = {
+    "encoding": (
+        "DEFAULT_LAYERS", "EncodingKind", "LogMode", "ResourceEstimate", "SizeConvention",
+        "circuit_volume", "depth_estimate", "error_rate_threshold", "estimate_instance",
+        "hamiltonian_terms", "hobo_qubits", "measurement_estimate", "quantum_volume", "qubo_qubits",
+    ),
+    "errors": (
+        "CvrpError", "DimensionMismatch", "DuplicateName", "EmptyInput", "IndexOutOfRange",
+        "InvalidInstance", "LengthMismatch", "MalformedLine", "MissingSection", "SchemaError",
+        "TooLarge", "UnsupportedEdgeWeightType",
+    ),
+    "hardware": (
+        "FeasibilityVerdict", "HardwareProfile", "classify", "default_profiles",
+        "feasibility_point", "get_profile", "load_profiles",
+    ),
+    "instances": ("CvrpInstance", "WeightKind", "infer_vehicle_count", "parse_instance", "serialize_instance"),
+    "qubo": (
+        "AUTO", "InstanceSolution", "QuboModel", "RouteDecoding", "VariableMap", "Violation",
+        "brute_force_solve", "build_qubo", "count_terms", "decode_routes", "energy",
+        "export_model", "parse_model", "solve_instance",
+    ),
+    "report": (
+        "DiagramPoint", "InstanceParams", "bundled_gap_csv", "bundled_params", "diagram_points",
+        "feasibility_diagram", "load_params_csv", "params_estimate", "render_gap_table",
+        "render_resource_table",
+    ),
+    "value": (
+        "GapDenominator", "GapRecord", "ImpactEstimate", "gap_records_from_csv",
+        "impact_estimate", "optimality_gap",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # importing a submodule binds it in this package
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    attribute = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = attribute  # later lookups skip this hook
+    return attribute
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -21,9 +21,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import encoding as enc
-from . import hardware, qubo, report, value
+from . import hardware, report, value
 from .errors import CvrpError
-from .instances import parse_instance
 
 _CONVENTIONS = {
     "strict": enc.SizeConvention.STRICT,
@@ -110,7 +109,14 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
 
 
+def _parse_instance(text: str):
+    """``parse_instance``, imported here so commands that read no instance never load the parser."""
+    from .instances import parse_instance
+    return parse_instance(text)
+
+
 def _parse_penalty(token: str):
+    from . import qubo
     if token == qubo.AUTO:
         return qubo.AUTO
     try:
@@ -150,7 +156,7 @@ def _load_params(args: argparse.Namespace) -> list[report.InstanceParams]:
 
 
 def _parse(args: argparse.Namespace) -> None:
-    inst = parse_instance(_read(args.file))
+    inst = _parse_instance(_read(args.file))
     print(f"name: {inst.name}")
     print(f"dimension: {inst.dimension}")
     print(f"customers: {inst.customers}")
@@ -163,7 +169,7 @@ def _parse(args: argparse.Namespace) -> None:
 
 
 def _estimate(args: argparse.Namespace) -> None:
-    inst = parse_instance(_read(args.file))
+    inst = _parse_instance(_read(args.file))
     est = enc.estimate_instance(inst, *_estimate_args(args))
     print(f"instance: {inst.name} (n={inst.customers}, k={inst.vehicles}, C={inst.capacity})")
     print(f"convention: {_CONVENTIONS[args.convention].value} | layers: {args.layers} | log mode: {args.log_mode}")
@@ -178,7 +184,7 @@ def _estimate(args: argparse.Namespace) -> None:
 
 
 def _classify(args: argparse.Namespace) -> None:
-    inst = parse_instance(_read(args.file))
+    inst = _parse_instance(_read(args.file))
     profile = _load_profile(args)
     est = enc.estimate_instance(inst, *_estimate_args(args))
     verdict = hardware.classify(est, profile)
@@ -221,7 +227,8 @@ def _diagram(args: argparse.Namespace) -> None:
 
 
 def _qubo(args: argparse.Namespace) -> None:
-    inst = parse_instance(_read(args.file))
+    from . import qubo
+    inst = _parse_instance(_read(args.file))
     model = qubo.build_qubo(inst, _parse_penalty(args.penalty))
     text = qubo.export_model(model)
     if args.out:
@@ -236,12 +243,13 @@ def _qubo(args: argparse.Namespace) -> None:
 
 
 def _solve(args: argparse.Namespace) -> None:
+    from . import qubo
     text = _read(args.file)
     decoding = None
     if text.lstrip().startswith("QUBO"):
         bits, best = qubo.brute_force_solve(qubo.parse_model(text))
     else:
-        solution = qubo.solve_instance(parse_instance(text), _parse_penalty(args.penalty))
+        solution = qubo.solve_instance(_parse_instance(text), _parse_penalty(args.penalty))
         bits, best, decoding = solution.assignment, solution.energy, solution.decoding
     print(f"assignment: {bits}")
     print(f"energy: {best}")

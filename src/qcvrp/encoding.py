@@ -14,10 +14,13 @@ the qubit count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .instances import CvrpInstance, max_edge_weight, nint
+if TYPE_CHECKING:
+    from .instances import CvrpInstance
 
 DEFAULT_LAYERS = 5
 
@@ -55,6 +58,11 @@ class LogMode(Enum):
     REAL = "real"
     FLOOR = "floor"
     CEIL = "ceil"
+
+
+def nint(x: float) -> int:
+    """Round to the nearest integer with halves rounding up (TSPLIB rule)."""
+    return int(math.floor(x + 0.5))
 
 
 def _require_positive_int(value: int, what: str) -> None:
@@ -101,10 +109,12 @@ def hobo_qubits(
         position_bits = (customers - 1).bit_length()
         load_bits = capacity.bit_length()
         return vehicles * (customers * position_bits + load_bits)
+    _require_float_range(customers, "customers")
     position = customers * math.log2(customers)
     load = math.log2(capacity + 1)
     if log_mode is LogMode.FLOOR:
         return vehicles * (math.floor(position) + math.floor(load))
+    _require_float_range(vehicles, "vehicles")
     return vehicles * (position + load)
 
 
@@ -129,9 +139,16 @@ def encoding_qubits(
     return nint(hobo) if isinstance(hobo, float) else hobo
 
 
+def _require_float_range(value: float, what: str) -> None:
+    # float() and math raise a bare OverflowError for such an int; this one names it
+    if abs(value) > sys.float_info.max:
+        raise OverflowError(f"{what} must be a positive number within float range, got {value!r}")
+
+
 def _require_positive_number(value: float, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a positive number, got {value!r}")
+    _require_float_range(value, what)
     if not math.isfinite(value) or value <= 0:
         raise ValueError(f"{what} must be a positive finite number, got {value!r}")
 
@@ -264,6 +281,7 @@ def estimate_instance(
     log_mode: LogMode = LogMode.FLOOR,
 ) -> ResourceEstimate:
     """``estimate_resources`` for a parsed instance and its longest edge (at least 1)."""
+    from .instances import max_edge_weight
     return estimate_resources(
         inst.customers, inst.vehicles, inst.capacity, max(1, max_edge_weight(inst)),
         encoding, convention, layers, log_mode,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+from .encoding import nint
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -26,16 +27,18 @@ from .errors import (
 )
 
 
+def _float_or_inf(value: float) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 class WeightKind(Enum):
     """How pairwise travel costs are defined."""
 
     EUC_2D = "EUC_2D"
     EXPLICIT = "EXPLICIT"
-
-
-def nint(x: float) -> int:
-    """Round to the nearest integer with halves rounding up (TSPLIB rule)."""
-    return int(math.floor(x + 0.5))
 
 
 _VEHICLE_SUFFIX = re.compile(r"[-_]k(\d+)$")
@@ -107,9 +110,11 @@ class CvrpInstance:
             object.__setattr__(self, field, _int_row((getattr(self, field),), field)[0])
         object.__setattr__(self, "demands", _int_row(self.demands, "demand of node {}"))
         if self.coords is not None:
-            object.__setattr__(
-                self, "coords", tuple((float(x), float(y)) for x, y in self.coords)
-            )
+            try:
+                coords = tuple((float(x), float(y)) for x, y in self.coords)
+            except OverflowError:  # an int past float range, which the bound refuses as an infinity
+                coords = tuple((_float_or_inf(x), _float_or_inf(y)) for x, y in self.coords)
+            object.__setattr__(self, "coords", coords)
             # NaN and inf fail the bound too; within it every distance stays below 2**63
             for node, (x, y) in enumerate(self.coords):
                 if not (abs(x) <= 2.0**61 and abs(y) <= 2.0**61):

@@ -30,6 +30,7 @@ from typing import Iterator, Union
 
 from .errors import LengthMismatch, TooLarge
 from .instances import CvrpInstance, max_edge_weight, weight_matrix
+from .value import _format_number
 
 AUTO = "auto"
 
@@ -706,12 +707,6 @@ def solve_instance(inst: CvrpInstance, penalty: Number | str = AUTO) -> Instance
     model = build_qubo(inst, penalty)
     assignment, best = brute_force_solve(model)
     return InstanceSolution(model, assignment, best, decode_routes(model, assignment, inst))
-
-
-def _format_number(value: Number) -> str:
-    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
-        return str(int(value))  # True is written 1, 2.0 is written 2
-    return repr(value)
 
 
 def export_model(model: QuboModel) -> str:

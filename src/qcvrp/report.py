@@ -27,8 +27,7 @@ from .encoding import (
 )
 from .errors import EmptyInput, SchemaError
 from .hardware import HardwareProfile, feasibility_point
-from .qubo import _format_number
-from .value import GapRecord
+from .value import GapRecord, _format_number
 
 TEXT = "text"
 CSV = "csv"

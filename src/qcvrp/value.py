@@ -12,10 +12,18 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import SchemaError
+
+
+def _format_number(value: float) -> str:
+    """A number as the gap table and the model text write it: integral values as ints."""
+    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        return str(int(value))  # True is written 1, 2.0 is written 2
+    return repr(value)
 
 
 class GapDenominator(Enum):
@@ -34,14 +42,17 @@ def optimality_gap(
 
     ``100 * (solution - lower_bound) / solution`` by default;
     ``GapDenominator.LOWER_BOUND`` divides by the bound instead.  Both
-    values must be positive and, if floats, finite; ``ValueError`` names a
-    gap that leaves float range, such as ``optimality_gap(1e308, 1e-308)``.
+    values must be positive and within float range; ``ValueError`` names a
+    value past it, such as ``10**400``, and a gap that leaves it, such as
+    ``optimality_gap(1e308, 1e-308)``.
     """
     for name, number in (("solution value", solution), ("lower bound", lower_bound)):
         if isinstance(number, float) and not math.isfinite(number):
             raise ValueError(f"{name} must be finite")
         if not number > 0:
             raise ValueError(f"{name} must be positive")
+        if number > sys.float_info.max:  # an int the float gap below cannot take
+            raise ValueError(f"{name} must be within float range")
     diff = solution - lower_bound
     gap = 100.0 * diff / (solution if denominator is GapDenominator.SOLUTION else lower_bound)
     if not math.isfinite(gap):

@@ -589,6 +589,15 @@ class TestOverflow:
             argv += ["--log-mode", "ceil"]
         self.assert_one_error_line(*run_cli(capsys, *argv), row="huge")
 
+    @pytest.mark.parametrize("command", ["estimate", "classify"])
+    def test_weight_past_float_range_is_named(self, capsys, tmp_path, command):
+        # the measurement estimate scales with the longest edge as a float
+        path = tmp_path / "far.vrp"
+        path.write_text(WIDE_EXPLICIT_TEXT.replace(str(2**70), str(10**400)), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: max_weight must be a positive number within float range, got {10**400}\n"
+
     def test_svg_axes_name_the_first_point_beyond_float_range(self):
         profile = default_profiles()[0]
         points = [DiagramPoint("small", 10, 50, False), DiagramPoint("huge", 10**400, 5 * 10**400, False)]

@@ -137,6 +137,26 @@ class TestScalings:
         with pytest.raises(ValueError):
             measurement_estimate(EncodingKind.HOBO, 10, 0)
 
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda: measurement_estimate(EncodingKind.QUBO, 10, 10**400), "max_weight"),
+            (lambda: hamiltonian_terms(EncodingKind.QUBO, 10**400), "size"),
+            (lambda: circuit_volume(EncodingKind.HOBO, 10**400), "size"),
+            (lambda: hobo_qubits(10**400, 1, 1, LogMode.REAL), "customers"),
+            (lambda: hobo_qubits(10**400, 1, 1, LogMode.FLOOR), "customers"),
+            (lambda: hobo_qubits(2, 10**400, 1, LogMode.REAL), "vehicles"),
+        ],
+        ids=["max_weight", "terms", "volume", "hobo-real", "hobo-floor", "vehicles"],
+    )
+    def test_int_past_float_range_is_named(self, call, what):
+        # float() of such an int raises a bare "int too large to convert to float"
+        with pytest.raises(OverflowError, match=rf"^{what} must be a positive number within float range, got 10{{400}}$"):
+            call()
+
+    def test_ceil_hobo_count_stays_exact_past_float_range(self):
+        assert hobo_qubits(10**400, 1, 1, LogMode.CEIL) == 10**400 * (10**400 - 1).bit_length() + 1
+
 
 class TestDepthAndVolume:
     def test_reference_depth(self):

@@ -549,6 +549,13 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstance, match=r"node 1 must be finite and within 2\*\*61"):
             euclidean([(0.0, 0.0), far, (1.0, 0.0)])
 
+    @pytest.mark.parametrize("far, shown", [((10**400, 0), "(inf, 0.0)"), ((0, -(10**400)), "(0.0, -inf)")])
+    def test_int_coordinates_past_float_range_rejected(self, far, shown):
+        # float() of such an int raises OverflowError; the bound names the node instead
+        message = f"coordinates of node 1 must be finite and within 2**61, got {shown}"
+        with pytest.raises(InvalidInstance, match=f"^{re.escape(message)}$"):
+            euclidean([(0, 0), far])
+
     def test_widest_coordinates_keep_exact_weights(self):
         widest = euclidean([(-(2.0**61), -(2.0**61)), (2.0**61, 2.0**61)])
         assert max_edge_weight(widest) == int(weight_matrix(widest).max()) == nint(2.0**62.5)

@@ -59,6 +59,19 @@ class TestOptimalityGap:
             optimality_gap(solution, lower, denominator)
 
 
+    @pytest.mark.parametrize(
+        "solution, lower, name",
+        [(10**400, 10**399, "solution value"), (2, 10**400, "lower bound"), (10**400, 10**400, "solution value")],
+    )
+    def test_int_past_float_range_is_refused_by_name(self, solution, lower, name):
+        # 100.0 * (solution - lower) cannot convert such an int to a float
+        with pytest.raises(ValueError, match=f"^{name} must be within float range$"):
+            optimality_gap(solution, lower)
+
+    def test_ints_within_float_range_keep_the_float_gap(self):
+        assert optimality_gap(10**300, 10**299) == 100.0 * (10**300 - 10**299) / 10**300
+
+
 class TestGapRecords:
     def test_bundled_records_match_frozen_rows(self):
         records = gap_records_from_csv(bundled_gap_csv())
